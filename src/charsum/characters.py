@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .partition import Partition, make_partition
-from .polyring import ONE_MINUS_X, IntPoly, binomial_coeff
+from .partition import Partition, check_mu0_n, make_partition
+from .polyring import ONE_MINUS_X, IntPoly, binomial_range
 
 DEFAULT_ROW_CAP = 4
 
@@ -133,9 +133,9 @@ def two_row_gen_poly(mu0: Partition, n: int) -> IntPoly:
     Coefficient j is the two-rowed character on (n-j, j) for j <= n/2 and
     extends anti-palindromically beyond.
     """
-    _check_two_row_args(mu0, n)
+    check_mu0_n(mu0, n)
     excess = n - mu0.weight()
-    p = ONE_MINUS_X * IntPoly([binomial_coeff(excess, k) for k in range(excess + 1)])
+    p = ONE_MINUS_X * IntPoly(binomial_range(excess, 0, excess))
     for a in mu0.parts:
         p = p * IntPoly([1] + [0] * (a - 1) + [1])
     return p
@@ -150,13 +150,6 @@ def char_two_row(n: int, j: int, mu0: Partition) -> int:
     if not 0 <= j <= n + 1:
         raise ValueError(f"j must be in [0, {n + 1}], got {j}")
     return two_row_gen_poly(mu0, n).coeff(j)
-
-
-def _check_two_row_args(mu0: Partition, n: int) -> None:
-    if any(p == 1 for p in mu0):
-        raise ValueError("mu0 must have smallest part >= 2")
-    if n < mu0.weight():
-        raise ValueError(f"n={n} is below |mu0|={mu0.weight()}")
 
 
 def char_mn(lmbda: Partition, mu: Partition) -> int:
@@ -210,6 +203,5 @@ def _strip_removals(shape: tuple[int, ...], k: int):
 
 def padded_class(mu0: Partition, n: int) -> Partition:
     """The cycle type mu0 padded with 1s up to weight n."""
-    if n < mu0.weight():
-        raise ValueError(f"n={n} is below |mu0|={mu0.weight()}")
+    check_mu0_n(mu0, n)
     return make_partition(list(mu0.parts) + [1] * (n - mu0.weight()))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -60,6 +61,17 @@ def _parse_range(text: str) -> tuple[int, int]:
     if lo > hi:
         raise ValueError(f"empty range {text!r}")
     return lo, hi
+
+
+def _jobs(text: str) -> int:
+    """A --jobs value: a positive integer, capped at the machine's CPU count."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def cmd_char(args) -> int:
@@ -313,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="find constant-ratio pairs (JSON lines)")
     p.add_argument("--K", type=int, required=True, help="max weight of mu0")
     p.add_argument("--window", type=int, default=12)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("fit", help="fit family(n) = C(2n,n) * R(n), R rational")
@@ -335,7 +347,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # Exact values outgrow CPython's default 4300-digit int<->str limit (A(3)(n)
+    # near n = 7150); lift it for this call only, so importing changes nothing.
+    if not hasattr(sys, "set_int_max_str_digits"):  # CPython < 3.10.7: no limit
+        return args.func(args)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return args.func(args)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def entry() -> None:

@@ -25,7 +25,7 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(parts)
         for p in parts:
-            if not isinstance(p, int) or p < 1:
+            if isinstance(p, bool) or not isinstance(p, int) or p < 1:
                 raise ValueError(f"partition parts must be positive integers, got {p!r}")
         for a, b in zip(parts, parts[1:]):
             if a < b:
@@ -93,11 +93,7 @@ class TheoremForm:
 
 def make_partition(raw: Iterable[int]) -> Partition:
     """Sort arbitrary positive integers into a partition (non-increasing)."""
-    parts = sorted(raw, reverse=True)
-    for p in parts:
-        if not isinstance(p, int) or p < 1:
-            raise ValueError(f"partition parts must be positive integers, got {p!r}")
-    return Partition(parts)
+    return Partition(sorted(raw, reverse=True))
 
 
 def parse_partition(text: str) -> Partition:
@@ -141,6 +137,14 @@ def enumerate_partitions(n: int, min_part: int = 1) -> Iterator[Partition]:
             prefix.pop()
 
     yield from rec(n, n, [])
+
+
+def check_mu0_n(mu0: Partition, n: int) -> None:
+    """The precondition of every sum and two-row value: parts >= 2, n >= |mu0|."""
+    if any(p == 1 for p in mu0):
+        raise ValueError("mu0 must have smallest part >= 2")
+    if n < mu0.weight():
+        raise ValueError(f"n={n} is below |mu0|={mu0.weight()}")
 
 
 def theorem_form_of(mu0: Partition) -> Optional[TheoremForm]:

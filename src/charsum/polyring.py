@@ -194,6 +194,27 @@ def binomial_coeff(e: int, k: int) -> int:
     return sign * comb(k - e - 1, k)
 
 
+def binomial_range(e: int, lo: int, hi: int) -> list[int]:
+    """[C(e, j) for j in lo..hi], generalized as in ``binomial_coeff``.
+
+    One ``binomial_coeff`` call gives the highest nonzero entry; the rest come
+    from the exact step C(e, j-1) = C(e, j) * j / (e - j + 1), whose divisor
+    is never zero: j <= e when e >= 0, and e - j + 1 < 0 when e < 0.  On
+    n-digit values each step costs a short multiply and divide instead of a
+    fresh ``comb``.
+    """
+    out = [0] * (hi - lo + 1)
+    top = hi if e < 0 else min(hi, e)  # for e >= 0, C(e, j) = 0 when j > e
+    if top < max(lo, 0):
+        return out
+    c = binomial_coeff(e, top)
+    out[top - lo] = c
+    for j in range(top, max(lo, 0), -1):
+        c = c * j // (e - j + 1)
+        out[j - 1 - lo] = c
+    return out
+
+
 class TruncatedSeries:
     """Power-series prefix: coefficients of x^0 .. x^order, nothing beyond."""
 

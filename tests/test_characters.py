@@ -168,3 +168,7 @@ class TestPaddedClass:
     def test_rejects_short_n(self):
         with pytest.raises(ValueError):
             padded_class(make_partition([3, 2]), 4)
+
+    def test_rejects_part_one(self):
+        with pytest.raises(ValueError, match="smallest part"):
+            padded_class(make_partition([3, 1]), 6)

@@ -1,6 +1,10 @@
 """The two sum families: closed constant-term route vs brute-force route."""
 
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charsum.charsums import (
     InternalConsistencyError,
@@ -95,6 +99,38 @@ class TestLemmaVsDefinition:
                 for n in range(w, 10):
                     assert sum_A(mu0, n) >= 0
                     assert sum_B(mu0, n) >= 0
+
+
+def partitions_min_two(max_weight):
+    """Partitions with every part >= 2 and weight <= max_weight."""
+    return st.lists(st.integers(2, max_weight), max_size=max_weight // 2).filter(
+        lambda parts: sum(parts) <= max_weight
+    ).map(make_partition)
+
+
+class TestKernelProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(mu0=partitions_min_two(8), extra=st.integers(0, 12))
+    def test_lemma_equals_definition(self, mu0, extra):
+        n = mu0.weight() + extra
+        assert sum_A(mu0, n) == sum_A_bruteforce(mu0, n)
+        assert sum_B(mu0, n) == sum_B_bruteforce(mu0, n)
+
+    def test_large_n_against_one_comb_per_coefficient(self):
+        # reference: expand small(x) by hand and take a fresh binomial for
+        # every coefficient, as the formula in the module docstring reads
+        mu0, n = make_partition([5, 3, 2]), 20000
+        small = {0: 1, 1: -2, 2: 1}  # (1 - x)^2
+        for a in mu0.parts:
+            for _ in range(2):  # (1 + x^a)^2
+                grown = dict(small)
+                for k, c in small.items():
+                    grown[k + a] = grown.get(k + a, 0) + c
+                small = grown
+        e = 2 * (n - mu0.weight())
+        c = sum(v * comb(e, n + 1 - k) for k, v in small.items())
+        assert c % 2 == 0
+        assert sum_A(mu0, n) == -c // 2
 
 
 class TestDoublingIdentity:

@@ -1,12 +1,13 @@
 """CLI: golden outputs, exit codes, and schema-valid JSON."""
 
 import json
+import sys
 from importlib.resources import files
 
 import jsonschema
 import pytest
 
-from charsum.cli import main
+from charsum.cli import build_parser, main
 from charsum.oeis import OeisClient
 
 CENTRAL_BINOMIAL_RESPONSE = json.dumps(
@@ -216,6 +217,23 @@ class TestVerifyCommand:
         assert code == 3
         assert "duplicate even part" in err
 
+    def test_integers_past_the_str_digit_limit(self, capsys):
+        # A(3)(7200) has more than 4300 digits, CPython's default int->str limit
+        code, out, _ = run(capsys, ["verify", "--mu0", "3", "--n", "7200..7201", "--format", "csv"])
+        assert code == 0
+        rows = out.splitlines()
+        assert rows[0] == "n,A,B,holds"
+        assert [row.split(",")[0] for row in rows[1:]] == ["7200", "7201"]
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for row in rows[1:]:
+                _, a, b, holds = row.split(",")
+                assert len(a) > 4300 and 2 * int(a) == int(b) and holds == "true"
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert sys.get_int_max_str_digits() == saved  # main restored it too
+
     def test_deterministic_byte_identical(self, capsys):
         _, first, _ = run(capsys, ["verify", "--mu0", "3", "--n", "3..6", "--format", "json"])
         _, second, _ = run(capsys, ["verify", "--mu0", "3", "--n", "3..6", "--format", "json"])
@@ -249,6 +267,20 @@ class TestSearchCommand:
     def test_invalid_window_exits_5(self, capsys):
         code, _, _ = run(capsys, ["search", "--K", "4", "--window", "2"])
         assert code == 5
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_bad_jobs_is_a_usage_error(self, capsys, jobs):
+        # rejected while parsing, before any process pool could start
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--K", "2", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        parse = build_parser().parse_args
+        assert parse(["search", "--K", "2", "--jobs", "64"]).jobs == 2
+        assert parse(["search", "--K", "2", "--jobs", "1"]).jobs == 1
 
 
 class TestFitCommand:

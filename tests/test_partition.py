@@ -56,6 +56,13 @@ class TestMakePartition:
         with pytest.raises(ValueError):
             make_partition(bad)
 
+    def test_rejects_bool_parts(self):
+        # bool is an int subclass; True would otherwise pass as the part 1
+        with pytest.raises(ValueError, match="positive integers"):
+            Partition([True])
+        with pytest.raises(ValueError, match="positive integers"):
+            make_partition([3, True])
+
     def test_constructor_rejects_increasing(self):
         with pytest.raises(ValueError):
             Partition((2, 3))

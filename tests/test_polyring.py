@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from charsum.polyring import (
     ONE,
@@ -13,6 +15,7 @@ from charsum.polyring import (
     LaurentPoly,
     TruncatedSeries,
     binomial_coeff,
+    binomial_range,
     binomial_series,
     coeff,
     euler_product,
@@ -133,6 +136,31 @@ class TestCoeff:
         assert coeff(lp, 0) == 3
         assert coeff(lp, 1) == 0
         assert lp.constant_term() == 3
+
+
+class TestBinomialRange:
+    @given(
+        e=st.integers(-60, 400),
+        lo=st.integers(-20, 420),
+        width=st.integers(0, 40),
+    )
+    def test_matches_binomial_coeff_term_by_term(self, e, lo, width):
+        # windows reach below 0, above e, and straddle both edges
+        hi = lo + width - 1
+        assert binomial_range(e, lo, hi) == [binomial_coeff(e, j) for j in range(lo, hi + 1)]
+
+    def test_one_binomial_coeff_call_per_range(self, monkeypatch):
+        import charsum.polyring as polyring
+
+        calls = []
+        original = polyring.binomial_coeff
+        monkeypatch.setattr(
+            polyring, "binomial_coeff", lambda e, k: calls.append((e, k)) or original(e, k)
+        )
+        assert binomial_range(3000, 1480, 1502) == [
+            original(3000, j) for j in range(1480, 1503)
+        ]
+        assert calls == [(3000, 1502)]
 
 
 class TestBinomialSeries:
