@@ -1,103 +1,54 @@
-"""Exact symmetric-group character sums over two-rowed and hook shapes."""
+"""Exact symmetric-group character sums over two-rowed and hook shapes.
 
-from .characters import (
-    MultiLaurent,
-    RowCapExceeded,
-    char_ct,
-    char_mn,
-    char_two_row,
-    ct_multivariate,
-    padded_class,
-    two_row_gen_poly,
-)
+``__all__`` is the public API; every other name in the submodules is
+internal and may change without notice.
+"""
+
+from .characters import RowCapExceeded, char_ct, char_mn, char_two_row
 from .charsums import (
     InternalConsistencyError,
-    VerificationReport,
     sum_A,
     sum_A_bruteforce,
     sum_B,
     sum_B_bruteforce,
     verify_theorem,
 )
-from .discovery import (
-    FitError,
-    RationalFn,
-    TheoremPair,
-    fit_closed_form,
-    ratio_test,
-    search_pairs,
-)
-from .oeis import OeisClient, OeisMatch, OeisNetworkError, OeisParseError
+from .discovery import FitError, fit_closed_form, search_pairs
+from .oeis import OeisClient, OeisError
 from .partition import (
     Partition,
     PartitionFormatError,
-    TheoremForm,
     companion_mu_prime,
-    enumerate_partitions,
     format_partition,
     make_partition,
     parse_partition,
     theorem_form_of,
-    theorem_form_reason,
-)
-from .polyring import (
-    IntPoly,
-    LaurentPoly,
-    TruncatedSeries,
-    binomial_series,
-    coeff,
-    euler_product,
-    is_antipalindromic,
-    poly_mul,
-    poly_pow,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Partition",
-    "PartitionFormatError",
-    "TheoremForm",
     "make_partition",
     "parse_partition",
     "format_partition",
-    "enumerate_partitions",
     "theorem_form_of",
-    "theorem_form_reason",
     "companion_mu_prime",
-    "IntPoly",
-    "LaurentPoly",
-    "TruncatedSeries",
-    "poly_mul",
-    "poly_pow",
-    "coeff",
-    "binomial_series",
-    "euler_product",
-    "is_antipalindromic",
-    "MultiLaurent",
-    "RowCapExceeded",
-    "ct_multivariate",
-    "char_ct",
     "char_mn",
+    "char_ct",
     "char_two_row",
-    "two_row_gen_poly",
-    "padded_class",
-    "InternalConsistencyError",
-    "VerificationReport",
     "sum_A",
     "sum_B",
     "sum_A_bruteforce",
     "sum_B_bruteforce",
     "verify_theorem",
-    "TheoremPair",
-    "RationalFn",
-    "FitError",
-    "ratio_test",
     "search_pairs",
     "fit_closed_form",
     "OeisClient",
-    "OeisMatch",
-    "OeisNetworkError",
-    "OeisParseError",
+    "PartitionFormatError",
+    "RowCapExceeded",
+    "InternalConsistencyError",
+    "FitError",
+    "OeisError",
     "__version__",
 ]

@@ -46,9 +46,6 @@ class MultiLaurent:
     def coeff(self, exps: tuple[int, ...]) -> int:
         return self.terms.get(tuple(exps), 0)
 
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * self.nvars, 0)
-
     def __mul__(self, other: "MultiLaurent") -> "MultiLaurent":
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
@@ -72,11 +69,6 @@ class MultiLaurent:
 
     def __repr__(self) -> str:
         return f"MultiLaurent({self.nvars}, {self.terms!r})"
-
-
-def ct_multivariate(ml: MultiLaurent) -> int:
-    """The constant term: coefficient of x_1^0 ... x_m^0."""
-    return ml.constant_term()
 
 
 def char_ct(lmbda: Partition, mu: Partition, max_rows: int = DEFAULT_ROW_CAP) -> int:

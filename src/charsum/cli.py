@@ -63,15 +63,20 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _jobs(text: str) -> int:
-    """A --jobs value: a positive integer, capped at the machine's CPU count."""
+def _positive_int(text: str) -> int:
+    """An argparse type: a positive integer, else a usage error (exit 2)."""
     try:
-        jobs = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _jobs(text: str) -> int:
+    """A --jobs value: a positive integer, capped at the machine's CPU count."""
+    return min(_positive_int(text), os.cpu_count() or 1)
 
 
 def cmd_char(args) -> int:
@@ -337,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oeis", help="look an integer sequence up")
     p.add_argument("values", metavar="V1,V2,...")
-    p.add_argument("--max-results", type=int, default=10)
+    p.add_argument("--max-results", type=_positive_int, default=10)
     p.add_argument("--live", action="store_true", help="allow live network lookups")
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--format", choices=["plain", "json"], default="plain")

@@ -1,10 +1,10 @@
 """Client for the On-Line Encyclopedia of Integer Sequences search endpoint.
 
 The transport is injectable so tests (and offline use) run against recorded
-fixtures; live HTTP is opt-in.  Responses are cached on disk keyed by a hash
-of the query string, and the cache is always consulted before the transport,
-so a repeated query performs zero network operations.  Live requests are
-serialized and rate-limited.
+fixtures; live HTTP is opt-in.  Responses that parse are cached on disk,
+written atomically and keyed by a hash of the query string, and the cache is
+always consulted before the transport, so a repeated query performs zero
+network operations.  Live requests are serialized and rate-limited.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import threading
 import time
 import urllib.error
@@ -115,8 +116,7 @@ class OeisClient:
     def seed_cache(self, query: str, raw_response: str) -> Path:
         """Record a fixture for the query (what the transport would return)."""
         path = self.cache_path(query)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(raw_response, encoding="utf-8")
+        _write_atomic(path, raw_response)
         return path
 
     def lookup(self, values: Sequence[int], max_results: int = 10) -> list[OeisMatch]:
@@ -145,30 +145,46 @@ class OeisClient:
                 stacklevel=2,
             )
         query = ",".join(str(v) for v in values)
-        raw = self._fetch(query)
-        return _parse_matches(raw, values, max_results)
+        return self._fetch(query, values)[:max_results]
 
-    def _fetch(self, query: str) -> str:
+    def _fetch(self, query: str, values: list[int]) -> list[OeisMatch]:
+        """Every match in the cached reply, else in the transport's.
+
+        A transport reply is cached only after it parses, so a bad reply (an
+        error page, say) fails this lookup and the next one asks again.
+        """
         path = self.cache_path(query)
         if path.is_file():
-            return path.read_text(encoding="utf-8")
+            return _parse_matches(path.read_text(encoding="utf-8"), values)
         with self._lock:
             # re-check under the lock: another thread may have just cached it
             if path.is_file():
-                return path.read_text(encoding="utf-8")
+                return _parse_matches(path.read_text(encoding="utf-8"), values)
             wait = self._min_interval - (time.monotonic() - self._last_request)
             if wait > 0 and self._last_request > 0:
                 time.sleep(wait)
             raw = self._transport(query)
             self._last_request = time.monotonic()
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(raw, encoding="utf-8")
-            return raw
+            matches = _parse_matches(raw, values)
+            _write_atomic(path, raw)
+            return matches
 
 
-def _parse_matches(
-    raw: str, values: Sequence[int], max_results: int
-) -> list[OeisMatch]:
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file in the same directory, so a reader
+    (or a crash) never sees a half-written cache file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _parse_matches(raw: str, values: Sequence[int]) -> list[OeisMatch]:
     try:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -181,12 +197,19 @@ def _parse_matches(
         entries = payload
     else:
         raise OeisParseError(f"unexpected response shape: {raw[:120]!r}")
+    if not isinstance(entries, list):
+        raise OeisParseError(f"results is not a list: {raw[:120]!r}")
 
     matches = []
-    for entry in entries[:max_results]:
+    for entry in entries:
         if not isinstance(entry, dict) or "number" not in entry:
             raise OeisParseError(f"unexpected entry shape: {str(entry)[:120]!r}")
-        seq_id = "A%06d" % int(entry["number"])
+        try:
+            seq_id = "A%06d" % int(entry["number"])
+        except (TypeError, ValueError):
+            raise OeisParseError(
+                f"entry number is not an integer: {entry['number']!r:.120}"
+            ) from None
         name = str(entry.get("name", ""))
         data = _parse_data_terms(entry.get("data", ""))
         offset, length = _best_alignment(data, list(values))

@@ -147,27 +147,8 @@ def check_mu0_n(mu0: Partition, n: int) -> None:
         raise ValueError(f"n={n} is below |mu0|={mu0.weight()}")
 
 
-def theorem_form_of(mu0: Partition) -> Optional[TheoremForm]:
-    """Decompose mu0 into odd parts >= 3 plus a run 2, 4, ..., 2^(t-1).
-
-    Returns None unless the even parts are exactly the consecutive powers of
-    two starting at 2, each appearing once (no even parts means t = 1).  Any
-    part equal to 1 disqualifies.  The empty partition is accepted (t = 1,
-    no odd parts).
-    """
-    if any(p == 1 for p in mu0):
-        return None
-    odds = tuple(p for p in mu0 if p % 2 == 1)
-    evens = sorted(p for p in mu0 if p % 2 == 0)
-    if evens != [2**j for j in range(1, len(evens) + 1)]:
-        return None
-    return TheoremForm(odd_parts=odds, t=len(evens) + 1)
-
-
 def theorem_form_reason(mu0: Partition) -> Optional[str]:
-    """Why mu0 is not theorem form, or None if it is."""
-    if theorem_form_of(mu0) is not None:
-        return None
+    """The first theorem-form condition mu0 fails, or None if it is theorem form."""
     if any(p == 1 for p in mu0):
         return "part equal to 1"
     evens = sorted(p for p in mu0 if p % 2 == 0)
@@ -176,7 +157,23 @@ def theorem_form_reason(mu0: Partition) -> Optional[str]:
     for p in evens:
         if p & (p - 1) != 0:
             return f"even part {p} is not a power of 2"
-    return "even parts are not the consecutive run 2, 4, ..., 2^(t-1)"
+    if evens != [2**j for j in range(1, len(evens) + 1)]:
+        return "even parts are not the consecutive run 2, 4, ..., 2^(t-1)"
+    return None
+
+
+def theorem_form_of(mu0: Partition) -> Optional[TheoremForm]:
+    """Decompose mu0 into odd parts >= 3 plus a run 2, 4, ..., 2^(t-1).
+
+    Returns None unless the even parts are exactly the consecutive powers of
+    two starting at 2, each appearing once (no even parts means t = 1).  Any
+    part equal to 1 disqualifies.  The empty partition is accepted (t = 1,
+    no odd parts).
+    """
+    if theorem_form_reason(mu0) is not None:
+        return None
+    odds = tuple(p for p in mu0 if p % 2 == 1)
+    return TheoremForm(odd_parts=odds, t=len(mu0) - len(odds) + 1)
 
 
 def companion_mu_prime(form: TheoremForm) -> Partition:

@@ -11,19 +11,18 @@ from charsum.characters import (
     char_ct,
     char_mn,
     char_two_row,
-    ct_multivariate,
     padded_class,
     two_row_gen_poly,
 )
 from charsum.partition import Partition, enumerate_partitions, make_partition
-from charsum.polyring import IntPoly, is_antipalindromic
+from charsum.polyring import IntPoly
 
 
 class TestConstantTermExtractor:
     def test_worked_example(self):
         # CT(x1^-3 x2 + x1 x2^-2 + 5) = 5
         ml = MultiLaurent(2, {(-3, 1): 1, (1, -2): 1, (0, 0): 5})
-        assert ct_multivariate(ml) == 5
+        assert ml.coeff((0, 0)) == 5
 
     def test_zero_coefficients_dropped(self):
         ml = MultiLaurent(1, {(0,): 0, (1,): 2})
@@ -121,7 +120,8 @@ class TestTwoRowGenPoly:
             mu0 = rng.choice(candidates)
             n = rng.randint(w, 30)
             p = two_row_gen_poly(mu0, n)
-            assert is_antipalindromic(p)
+            for j in range(n + 2):
+                assert p.coeff(j) == -p.coeff(n + 1 - j), (mu0, n, j)
             assert p.degree == n + 1
 
 

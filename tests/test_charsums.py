@@ -15,7 +15,7 @@ from charsum.charsums import (
     verify_theorem,
 )
 from charsum.partition import Partition, enumerate_partitions, make_partition
-from charsum.polyring import LaurentPoly, reciprocal_substitution
+from charsum.polyring import ONE_MINUS_X, IntPoly, binomial_coeff
 from charsum.characters import two_row_gen_poly
 
 
@@ -136,11 +136,13 @@ class TestKernelProperties:
 class TestDoublingIdentity:
     def test_full_square_sum_is_twice_the_half_range(self):
         # constant term of P(x) P(1/x) equals the sum of all squared
-        # coefficients, which double-counts every genuine character square
+        # coefficients, which double-counts every genuine character square;
+        # x^deg P(1/x) is P with its coefficients reversed, so the constant
+        # term is coefficient deg of that product
         for mu0, n in [([], 5), ([2], 6), ([3], 9), ([3, 2], 8), ([2, 2], 10)]:
             p = make_partition(mu0)
             gen = two_row_gen_poly(p, n)
-            ct = (LaurentPoly(gen, 0) * reciprocal_substitution(gen)).constant_term()
+            ct = (gen * IntPoly(reversed(gen.coeffs))).coeff(gen.degree)
             assert ct == sum(c * c for c in gen.coeffs)
             assert ct == 2 * sum_A(p, n)
 
@@ -188,16 +190,12 @@ class TestInternalConsistency:
 
 
 def one_plus_x_pow(e):
-    from charsum.polyring import IntPoly, binomial_coeff
-
     return IntPoly([binomial_coeff(e, k) for k in range(e + 1)])
 
 
 def squared_run(lo, t):
     """prod_{j=lo}^{t-1} (1 + x^(2^j))^2."""
-    from charsum.polyring import IntPoly, ONE
-
-    out = ONE
+    out = IntPoly((1,))
     for j in range(lo, t):
         f = IntPoly([1] + [0] * (2**j - 1) + [1])
         out = out * f * f
@@ -215,8 +213,6 @@ class TestProofStepIdentities:
                 assert lhs == rhs, (t, e)
 
     def test_euler_substitution_preserves_two_row_value(self):
-        from charsum.polyring import IntPoly, ONE_MINUS_X
-
         cases = [(1, (3,)), (2, (3,)), (3, (5, 3)), (4, ()), (5, ())]
         for t, odds in cases:
             run = [2**j for j in range(1, t)]

@@ -342,6 +342,32 @@ class TestOeisCommand:
         assert code == 3
         assert "at least 6" in err
 
+    @pytest.mark.parametrize(
+        "response",
+        [
+            json.dumps({"results": [{"number": "A984"}]}),
+            json.dumps({"results": 5}),
+        ],
+        ids=["non-integer number", "non-list results"],
+    )
+    def test_malformed_cached_response_exits_7(self, capsys, tmp_path, response):
+        OeisClient(cache_dir=tmp_path).seed_cache("1,2,6,20,70,252", response)
+        code, _, err = run(capsys, ["oeis", "1,2,6,20,70,252", "--cache-dir", str(tmp_path)])
+        assert code == 7
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_bad_max_results_is_a_usage_error(self, capsys, oeis_cache, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["oeis", "1,2,6,20,70,252", "--max-results", value])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+    def test_max_results_limits_the_matches(self, capsys, oeis_cache):
+        code, out, _ = run(capsys, ["oeis", "1,2,6,20,70,252", "--max-results", "1"])
+        assert code == 0
+        assert out == "A000984 Central binomial coefficients: binomial(2*n,n) = (2*n)!/(n!)^2.\n"
+
     def test_malformed_values_exit_2(self, capsys):
         code, _, err = run(capsys, ["oeis", "1,2,foo,4,5,6"])
         assert code == 2

@@ -182,6 +182,33 @@ class TestFailures:
             c.lookup([1, 2, 3, 4, 5, 6])
 
 
+    def test_non_integer_number_is_parse_error(self, tmp_path):
+        bad = json.dumps({"results": [{"number": "A984", "data": "1,2,6"}]})
+        transport = RecordingTransport({"1,2,3,4,5,6": bad})
+        c = OeisClient(transport=transport, cache_dir=tmp_path, min_interval=0.0)
+        with pytest.raises(OeisParseError, match="not an integer"):
+            c.lookup([1, 2, 3, 4, 5, 6])
+
+    @pytest.mark.parametrize(
+        "results", [5, {"number": 984}, "1,2,3"], ids=["number", "object", "string"]
+    )
+    def test_non_list_results_is_parse_error(self, tmp_path, results):
+        transport = RecordingTransport({"1,2,3,4,5,6": json.dumps({"results": results})})
+        c = OeisClient(transport=transport, cache_dir=tmp_path, min_interval=0.0)
+        with pytest.raises(OeisParseError, match="results is not a list"):
+            c.lookup([1, 2, 3, 4, 5, 6])
+
+    def test_reply_that_does_not_parse_is_not_cached(self, tmp_path):
+        replies = iter(["<html>503</html>", CENTRAL_BINOMIAL_RESPONSE])
+        c = OeisClient(transport=lambda q: next(replies), cache_dir=tmp_path, min_interval=0.0)
+        with pytest.raises(OeisParseError, match="not JSON"):
+            c.lookup(CENTRAL_BINOMIAL_QUERY)
+        assert list(tmp_path.iterdir()) == []
+        assert c.lookup(CENTRAL_BINOMIAL_QUERY)[0].sequence_id == "A000984"
+        # only the parsed reply, and no temporary file beside it
+        assert list(tmp_path.iterdir()) == [c.cache_path("1,2,6,20,70,252")]
+
+
 class TestEnvironment:
     def test_cache_dir_env_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHARSUM_OEIS_CACHE", str(tmp_path / "envcache"))
