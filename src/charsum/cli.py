@@ -8,7 +8,7 @@ printed as decimal strings in JSON so consumers never overflow.  Exit codes:
   2  usage errors: unknown flags, malformed partitions/ranges/value lists
   3  domain preconditions: weight mismatch, n below |mu0|, a part equal to 1,
      not theorem form, j out of range, row cap exceeded, too few OEIS terms
-  4  internal cross-check mismatch (sum --mode both, char --check-all)
+  4  internal cross-check mismatch (sum --mode both, char --check-all, fit)
   5  search module errors
   6  fit module errors (including: no fit within the degree cap)
   7  OEIS lookup failures (network disabled/unreachable, malformed response)
@@ -259,6 +259,8 @@ def cmd_fit(args) -> int:
     n_lo = args.n_lo if args.n_lo is not None else mu0.weight()
     try:
         fn = fit_closed_form(mu0, args.family, n_lo=n_lo, degree_cap=args.degree_cap)
+    except InternalConsistencyError as exc:
+        return _fail(EXIT_MISMATCH, str(exc))
     except (FitError, ValueError) as exc:
         return _fail(EXIT_FIT, str(exc))
     out = {"family": args.family, "mu0": format_partition(mu0), "n_lo": n_lo}

@@ -2,22 +2,24 @@
 
 ``ratio_test`` decides by cross-multiplication whether A(mu0)(n)/B(mu0')(n+2)
 is the same exact rational across a finite evidence window (a window is
-evidence, not proof).  ``search_pairs`` sweeps all candidate pairs with a
-weight gap of 2 and flags those matching the odd-parts-plus-power-run
-construction.  ``fit_closed_form`` recovers the rational function R with
-family(n) = C(2n, n) * R(n) by incremental-degree interpolation with exact
-rational arithmetic and held-out validation.
+evidence, not proof).  ``search_pairs`` reaches the same verdict for all
+candidate pairs with a weight gap of 2 at once: it computes each partition's
+sequence once and joins the mu0 and mu0' whose gcd-reduced sequences are
+equal, and flags the pairs matching the odd-parts-plus-power-run
+construction.  ``fit_closed_form`` writes down the rational function R with
+family(n) = C(2n, n) * R(n) from the constant-term formula, each term being
+a product of linear factors in n, and checks it against the lemma on a
+window of n past its degree.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Callable, Optional
 
-from .charsums import sum_A, sum_B
+from .charsums import InternalConsistencyError, _small_poly, sum_A, sum_B
 from .partition import (
     Partition,
     companion_mu_prime,
@@ -25,10 +27,10 @@ from .partition import (
     format_partition,
     theorem_form_of,
 )
+from .polyring import IntPoly
 
 MIN_RATIO_WINDOW = 3  # n_hi - n_lo must be at least this
 DEFAULT_SEARCH_WINDOW = 12
-MAX_FIT_SHIFTS = 10
 
 
 class FitError(ValueError):
@@ -94,17 +96,24 @@ def ratio_test(
     return Fraction(a_ref, b_ref)
 
 
-def _candidate_pairs(K: int, window: int):
-    for w in range(K + 1):
-        for mu0 in enumerate_partitions(w, min_part=2):
-            for mu0p in enumerate_partitions(w + 2, min_part=2):
-                yield mu0, mu0p, w, w + window
+def _sequence(task: tuple[str, tuple[int, ...], int, int]) -> tuple[int, tuple[int, ...]]:
+    """(g, seq // g), g = gcd(seq), for seq the values over n in [n_lo, n_hi]
+    of A(mu0)(n) (family "A") or B(mu0)(n + 2) (family "B").
 
-
-def _eval_candidate(args: tuple[tuple[int, ...], tuple[int, ...], int, int]):
-    mu0_parts, mu0p_parts, n_lo, n_hi = args
-    ratio = ratio_test(Partition(mu0_parts), Partition(mu0p_parts), n_lo, n_hi)
-    return None if ratio is None else (ratio.numerator, ratio.denominator)
+    Every value is >= 1, because the trivial character contributes 1, so two
+    sequences have a constant ratio exactly when their reduced forms are
+    equal, and the ratio is then the ratio of their gcds.
+    """
+    family, parts, n_lo, n_hi = task
+    mu0 = Partition(parts)
+    if family == "A":
+        seq = [sum_A(mu0, n) for n in range(n_lo, n_hi + 1)]
+    else:
+        seq = [sum_B(mu0, n + 2) for n in range(n_lo, n_hi + 1)]
+    if min(seq) < 1:
+        raise InternalConsistencyError(f"family {family} sum below 1 for mu0={mu0!r}")
+    g = gcd(*seq)
+    return g, tuple(v // g for v in seq)
 
 
 def search_pairs(
@@ -114,36 +123,54 @@ def search_pairs(
 
     Every mu0 with smallest part >= 2 (the empty partition included) is
     tested against every same-constraint mu0' of weight |mu0| + 2 over
-    n in [|mu0|, |mu0| + window].  Output order is deterministic: weight
-    ascending, then the lexicographic-descending enumeration order for mu0
-    and mu0'.  Candidates are independent, so jobs > 1 evaluates them in a
-    process pool; results merge in candidate order regardless.
+    n in [|mu0|, |mu0| + window], with the same verdict as ``ratio_test``.
+    Each partition's sequence is computed once, and the pairs of a weight
+    are found by joining the mu0 on their reduced sequences.  Output order
+    is deterministic: weight ascending, then the lexicographic-descending
+    enumeration order for mu0 and mu0'.  jobs > 1 computes the sequences in
+    a process pool; the output does not change.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
     if window < 4:
         raise ValueError("window must be >= 4")
-    candidates = list(_candidate_pairs(K, window))
+    levels = [
+        (w, list(enumerate_partitions(w, min_part=2)), list(enumerate_partitions(w + 2, min_part=2)))
+        for w in range(K + 1)
+    ]
+    tasks = [
+        (family, p.parts, w, w + window)
+        for w, mu0s, mu0ps in levels
+        for family, group in (("A", mu0s), ("B", mu0ps))
+        for p in group
+    ]
     if jobs > 1:
+        # imported here: the import is slow, and most searches run in one process
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            ratios = list(
-                pool.map(
-                    _eval_candidate,
-                    [(m.parts, mp.parts, lo, hi) for m, mp, lo, hi in candidates],
-                    chunksize=8,
-                )
-            )
-        ratios = [None if r is None else Fraction(*r) for r in ratios]
+            chunk = max(1, len(tasks) // (4 * jobs))
+            sequences = iter(list(pool.map(_sequence, tasks, chunksize=chunk)))
     else:
-        ratios = [ratio_test(m, mp, lo, hi) for m, mp, lo, hi in candidates]
+        sequences = map(_sequence, tasks)
 
     pairs = []
-    for (mu0, mu0p, n_lo, n_hi), ratio in zip(candidates, ratios):
-        if ratio is None:
-            continue
-        form = theorem_form_of(mu0)
-        predicted = form is not None and companion_mu_prime(form) == mu0p
-        pairs.append(TheoremPair(mu0, mu0p, ratio, n_lo, n_hi, predicted))
+    for w, mu0s, mu0ps in levels:
+        a_seqs = [next(sequences) for _ in mu0s]
+        buckets: dict[tuple[int, ...], list[tuple[Partition, int]]] = {}
+        for mu0p in mu0ps:
+            g_b, key = next(sequences)
+            buckets.setdefault(key, []).append((mu0p, g_b))
+        for mu0, (g_a, key) in zip(mu0s, a_seqs):
+            matches = buckets.get(key)
+            if not matches:
+                continue
+            form = theorem_form_of(mu0)
+            companion = None if form is None else companion_mu_prime(form)
+            for mu0p, g_b in matches:
+                pairs.append(
+                    TheoremPair(mu0, mu0p, Fraction(g_a, g_b), w, w + window, companion == mu0p)
+                )
     return pairs
 
 
@@ -163,8 +190,8 @@ class RationalFn:
     denominator: tuple[Fraction, ...]
 
     def __call__(self, n: int) -> Fraction:
-        num = _qp_eval(self.numerator, n)
-        den = _qp_eval(self.denominator, n)
+        num = _eval(self.numerator, n)
+        den = _eval(self.denominator, n)
         if den == 0:
             raise ZeroDivisionError(f"denominator vanishes at n={n}")
         return num / den
@@ -176,85 +203,27 @@ class RationalFn:
         return {"numerator": fmt(self.numerator), "denominator": fmt(self.denominator)}
 
 
-def _qp_trim(cs: list[Fraction]) -> tuple[Fraction, ...]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def _qp_eval(cs: tuple[Fraction, ...], n: int) -> Fraction:
-    total = Fraction(0)
+def _eval(cs, n: int):
+    """Horner evaluation of coefficients listed low to high."""
+    total = 0
     for c in reversed(cs):
         total = total * n + c
     return total
 
 
-def _qp_divmod(a: tuple[Fraction, ...], b: tuple[Fraction, ...]):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quot = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        f = rem[k + len(b) - 1] / lead
-        quot[k] = f
-        if f:
-            for i, c in enumerate(b):
-                rem[k + i] -= f * c
-    return _qp_trim(quot), _qp_trim(rem)
-
-
-def _qp_gcd(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    while b:
-        _, r = _qp_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return a
-    lead = a[-1]
-    return tuple(c / lead for c in a)
-
-
-def _reduce_rational(num, den) -> RationalFn:
-    g = _qp_gcd(num, den)
-    if len(g) > 1 or (g and g[0] != 1):
-        num, _ = _qp_divmod(num, g)
-        den, _ = _qp_divmod(den, g)
-    lead = den[-1]
-    num = tuple(c / lead for c in num)
-    den = tuple(c / lead for c in den)
-    return RationalFn(num, den)
-
-
-def _nullspace_vector(rows: list[list[Fraction]]) -> Optional[list[Fraction]]:
-    """One nonzero kernel vector of the matrix, or None if the kernel is 0."""
-    ncols = len(rows[0])
-    m = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][col]
-        m[r] = [c / inv for c in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [c - f * d for c, d in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    f0 = free[0]
-    vec = [Fraction(0)] * ncols
-    vec[f0] = Fraction(1)
-    for row_idx, col in enumerate(pivots):
-        vec[col] = -m[row_idx][f0]
-    return vec
+def _divide_linear(cs: tuple[int, ...], a: int, b: int) -> Optional[list[int]]:
+    """The integer quotient of sum cs[k] n^k by a*n + b, or None if it leaves a
+    remainder.  With gcd(a, b) = 1, Gauss's lemma makes every step an exact
+    integer division whenever a*n + b divides the polynomial over Q.
+    """
+    q = [0] * (len(cs) - 1)
+    carry = cs[-1]
+    for k in range(len(cs) - 2, -1, -1):
+        q[k], rem = divmod(carry, a)
+        if rem:
+            return None
+        carry = cs[k] - b * q[k]
+    return q if carry == 0 else None
 
 
 def _family_fn(family: str) -> Callable[[Partition, int], int]:
@@ -265,6 +234,53 @@ def _family_fn(family: str) -> Callable[[Partition, int], int]:
     raise ValueError(f"family must be 'A' or 'B', got {family!r}")
 
 
+def _exact_ratio(family: str, mu0: Partition) -> tuple[IntPoly, IntPoly]:
+    """R(n) = family(mu0)(n) / C(2n, n) as (numerator, denominator) in lowest terms.
+
+    With m = n - h, the family is sum_j c_j C(2m, m + s_j) over the
+    coefficients c_j of small(x), where s_j = top - j; family A is scaled
+    by -1/2.  Over C(2n, n) each term is a product of linear factors in n:
+
+      C(2m, m) / C(2n, n)     = prod_{t=0..h-1} (n - t) / (2 (2(n - t) - 1))
+      C(2m, m + s) / C(2m, m) = prod_{i=1..|s|} (m - i + 1) / (m + i)
+
+    so over the common denominator 2^h prod_t (2n - 2t - 1) prod_{i<=S} (m + i),
+    S = max |s_j|, numerator and denominator are integer polynomials of
+    degree at most 2|mu0| + 1.  The denominator's linear factors are
+    distinct, so dropping each one that divides the numerator leaves R in
+    lowest terms.
+    """
+    w = mu0.weight()
+    h, top = (w, w + 1) if family == "A" else (w + 1, w)
+    by_abs_s: dict[int, int] = {}  # C(2m, m + s) = C(2m, m - s)
+    for j, c in enumerate(_small_poly(family, mu0.parts)):
+        if c:
+            by_abs_s[abs(top - j)] = by_abs_s.get(abs(top - j), 0) + c
+    S = max(by_abs_s)
+    total = [0] * (S + 1)
+    for a, c in by_abs_s.items():
+        term = IntPoly((c,))
+        for i in range(1, a + 1):
+            term = term * IntPoly((1 - i - h, 1))  # m - i + 1
+        for i in range(a + 1, S + 1):
+            term = term * IntPoly((i - h, 1))  # m + i
+        for k, v in enumerate(term.coeffs):
+            total[k] += v
+    num = IntPoly(total if family == "B" else [-v for v in total])
+    for t in range(h):
+        num = num * IntPoly((-t, 1))
+    # linear factors a*n + b of the denominator, as (b, a)
+    factors = [(-2 * t - 1, 2) for t in range(h)] + [(i - h, 1) for i in range(1, S + 1)]
+    den = IntPoly((2**h if family == "B" else 2 ** (h + 1),))
+    for b, a in factors:
+        quotient = _divide_linear(num.coeffs, a, b)
+        if quotient is None:
+            den = den * IntPoly((b, a))
+        else:
+            num = IntPoly(quotient)
+    return num, den
+
+
 def fit_closed_form(
     mu0: Partition,
     family: str,
@@ -273,12 +289,11 @@ def fit_closed_form(
 ) -> RationalFn:
     """Find R with family(mu0)(n) = C(2n, n) * R(n), exactly, for all n.
 
-    For each degree d = 0, 1, 2, ... a candidate numerator/denominator pair
-    of degree <= d is interpolated from 2d+2 consecutive samples starting at
-    n_lo, then validated on d+4 fresh held-out samples; the first validated
-    candidate is returned in reduced monic-denominator form.  Degenerate
-    sample windows (denominator vanishing at a sample point) shift right by
-    one, at most MAX_FIT_SHIFTS times per degree.
+    R is derived from the constant-term formula (``_exact_ratio``) and
+    returned in reduced monic-denominator form.  FitError if its degree,
+    max(deg numerator, deg denominator) = D, exceeds degree_cap.  As a check
+    on the derivation, R(n) * C(2n, n) must equal the lemma's value at every
+    n in [n_lo, n_lo + D + 3]; a mismatch is an InternalConsistencyError.
     """
     if any(p == 1 for p in mu0):
         raise ValueError("mu0 must have smallest part >= 2")
@@ -290,38 +305,22 @@ def fit_closed_form(
     if degree_cap is None:
         degree_cap = 2 * mu0.weight() + 4
 
-    cache: dict[int, Fraction] = {}
-
-    def target(n: int) -> Fraction:
-        if n not in cache:
-            cache[n] = Fraction(value(mu0, n), comb(2 * n, n))
-        return cache[n]
-
-    for d in range(degree_cap + 1):
-        for shift in range(MAX_FIT_SHIFTS + 1):
-            start = n_lo + shift
-            train = [start + i for i in range(2 * d + 2)]
-            rows = []
-            for n in train:
-                y = target(n)
-                powers = [Fraction(n) ** k for k in range(d + 1)]
-                rows.append(powers + [-y * p for p in powers])
-            vec = _nullspace_vector(rows)
-            if vec is None:
-                break  # genuinely no fit at this degree; raise the degree
-            num = _qp_trim(list(vec[: d + 1]))
-            den = _qp_trim(list(vec[d + 1 :]))
-            if not den or any(_qp_eval(den, n) == 0 for n in train):
-                continue  # degenerate window; shift right and retry
-            holdout = [train[-1] + 1 + i for i in range(d + 4)]
-            if any(_qp_eval(den, n) == 0 for n in holdout):
-                continue
-            if all(
-                target(n) * _qp_eval(den, n) == _qp_eval(num, n) for n in holdout
-            ):
-                return _reduce_rational(num, den)
-            break  # candidate interpolates but fails held-out: wrong degree
-    raise FitError(
-        f"no validated rational fit for family {family}, mu0={format_partition(mu0) or 'empty'}"
-        f" up to degree cap {degree_cap}"
+    num, den = _exact_ratio(family, mu0)
+    degree = max(num.degree, den.degree)
+    if degree > degree_cap:
+        raise FitError(
+            f"no validated rational fit for family {family}, mu0={format_partition(mu0) or 'empty'}"
+            f" up to degree cap {degree_cap}"
+        )
+    for n in range(n_lo, n_lo + degree + 4):
+        d = _eval(den.coeffs, n)
+        if d == 0 or _eval(num.coeffs, n) * comb(2 * n, n) != value(mu0, n) * d:
+            raise InternalConsistencyError(
+                f"derived R(n) * C(2n, n) differs from {family}(n) at n={n}"
+                f" for mu0={format_partition(mu0) or 'empty'}"
+            )
+    lead = den.coeffs[-1]
+    return RationalFn(
+        tuple(Fraction(c, lead) for c in num.coeffs),
+        tuple(Fraction(c, lead) for c in den.coeffs),
     )

@@ -15,9 +15,6 @@ import os
 import tempfile
 import threading
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +48,10 @@ class QueryTruncationWarning(UserWarning):
     """The query exceeded the endpoint-friendly length and was truncated."""
 
 
+class UnparsableCacheWarning(UserWarning):
+    """A cache file did not parse; the lookup treats it as a miss."""
+
+
 @dataclass(frozen=True)
 class OeisMatch:
     sequence_id: str  # e.g. "A000984"
@@ -80,6 +81,10 @@ def cache_key(query: str) -> str:
 
 def live_transport(query: str) -> str:
     """HTTP GET against the JSON search endpoint."""
+    import urllib.error  # imported here: most runs never go live, and the import is slow
+    import urllib.parse
+    import urllib.request
+
     url = SEARCH_URL + "?" + urllib.parse.urlencode({"q": query, "fmt": "json"})
     try:
         with urllib.request.urlopen(url, timeout=30) as resp:
@@ -125,7 +130,10 @@ class OeisClient:
         Requires at least MIN_QUERY_TERMS values (shorter queries are
         under-determined).  Queries longer than MAX_QUERY_TERMS are truncated
         with a warning; an all-zero query is flagged as low-information.
+        max_results must be a positive integer.
         """
+        if isinstance(max_results, bool) or not isinstance(max_results, int) or max_results < 1:
+            raise ValueError(f"max_results must be a positive integer, got {max_results!r}")
         values = [int(v) for v in values]
         if len(values) < MIN_QUERY_TERMS:
             raise ValueError(
@@ -151,15 +159,19 @@ class OeisClient:
         """Every match in the cached reply, else in the transport's.
 
         A transport reply is cached only after it parses, so a bad reply (an
-        error page, say) fails this lookup and the next one asks again.
+        error page, say) fails this lookup and the next one asks again.  A
+        cache file that does not parse is a miss: the transport's reply,
+        once it parses, replaces it.
         """
         path = self.cache_path(query)
-        if path.is_file():
-            return _parse_matches(path.read_text(encoding="utf-8"), values)
+        cached = _read_cache(path, values, warn=False)
+        if cached is not None:
+            return cached
         with self._lock:
             # re-check under the lock: another thread may have just cached it
-            if path.is_file():
-                return _parse_matches(path.read_text(encoding="utf-8"), values)
+            cached = _read_cache(path, values, warn=True)
+            if cached is not None:
+                return cached
             wait = self._min_interval - (time.monotonic() - self._last_request)
             if wait > 0 and self._last_request > 0:
                 time.sleep(wait)
@@ -168,6 +180,23 @@ class OeisClient:
             matches = _parse_matches(raw, values)
             _write_atomic(path, raw)
             return matches
+
+
+def _read_cache(path: Path, values: Sequence[int], warn: bool) -> Optional[list[OeisMatch]]:
+    """The matches in a cache file; None if it is absent or does not parse
+    (with a warning naming the file, if warn)."""
+    if not path.is_file():
+        return None
+    try:
+        return _parse_matches(path.read_text(encoding="utf-8"), values)
+    except (OeisParseError, UnicodeDecodeError) as exc:
+        if warn:
+            warnings.warn(
+                f"ignoring cache file {path} that does not parse: {exc}",
+                UnparsableCacheWarning,
+                stacklevel=4,  # the caller of OeisClient.lookup
+            )
+        return None
 
 
 def _write_atomic(path: Path, text: str) -> None:

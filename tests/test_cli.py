@@ -1,14 +1,18 @@
 """CLI: golden outputs, exit codes, and schema-valid JSON."""
 
 import json
+import os
+import subprocess
 import sys
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import charsum
 from charsum.cli import build_parser, main
-from charsum.oeis import OeisClient
+from charsum.oeis import OeisClient, UnparsableCacheWarning
 
 CENTRAL_BINOMIAL_RESPONSE = json.dumps(
     {
@@ -368,6 +372,13 @@ class TestOeisCommand:
         assert code == 0
         assert out == "A000984 Central binomial coefficients: binomial(2*n,n) = (2*n)!/(n!)^2.\n"
 
+    def test_unparsable_cache_file_is_named_and_offline_still_exits_7(self, capsys, oeis_cache):
+        path = OeisClient(cache_dir=oeis_cache).seed_cache("1,2,6,20,70,252", "<html>503</html>")
+        with pytest.warns(UnparsableCacheWarning, match=path.name):
+            code, _, err = run(capsys, ["oeis", "1,2,6,20,70,252"])
+        assert code == 7
+        assert "disabled" in err
+
     def test_malformed_values_exit_2(self, capsys):
         code, _, err = run(capsys, ["oeis", "1,2,foo,4,5,6"])
         assert code == 2
@@ -384,3 +395,16 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["sum", "A", "--n", "3"])
         assert exc.value.code == 2
+
+
+def test_import_loads_neither_http_nor_process_pool():
+    code = (
+        "import sys, charsum.cli; "
+        "print(sorted({'urllib.request', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    src = str(Path(charsum.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out == "[]\n"

@@ -1,11 +1,17 @@
 """Pair search and exact rational-function fitting."""
 
+import json
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charsum.charsums import sum_A, sum_B, verify_theorem
+from charsum import discovery
+from charsum.charsums import InternalConsistencyError, sum_A, sum_B, verify_theorem
+from charsum.cli import main
 from charsum.discovery import (
     FitError,
     RationalFn,
@@ -22,6 +28,18 @@ from charsum.partition import (
 )
 
 HALF = Fraction(1, 2)
+
+# `charsum fit` stdout for the benchmark's fits and the README example,
+# recorded from an exact interpolating fit (sampled values, linear solves),
+# an independent route to the same reduced R.
+FIT_GOLDENS = json.loads((Path(__file__).parent / "fit_goldens.json").read_text())
+
+
+def partitions_min_two(max_weight):
+    """Partitions with every part >= 2 and weight <= max_weight."""
+    return st.lists(st.integers(2, max_weight), max_size=max_weight // 2).filter(
+        lambda parts: sum(parts) <= max_weight
+    ).map(make_partition)
 
 
 class TestRatioTest:
@@ -100,6 +118,21 @@ class TestSearchPairs:
         with pytest.raises(ValueError, match="window"):
             search_pairs(4, 3)
 
+    def test_join_matches_pairwise_ratio_test(self):
+        # K = 14 with window 12 is the first to report pairs outside the
+        # theorem ((14) -> (14,2) among them), so both verdicts are exercised
+        K, window = 14, 12
+        expected = []
+        for w in range(K + 1):
+            for mu0 in enumerate_partitions(w, 2):
+                for mu0p in enumerate_partitions(w + 2, 2):
+                    ratio = ratio_test(mu0, mu0p, w, w + window)
+                    if ratio is not None:
+                        expected.append((mu0, mu0p, ratio, w))
+        got = [(p.mu0, p.mu0_prime, p.ratio, p.n_lo) for p in search_pairs(K, window)]
+        assert got == expected
+        assert (make_partition([14]), make_partition([14, 2]), HALF, 14) in got
+
     def test_json_line_shape(self):
         pair = search_pairs(2, 6)[0]
         assert pair.to_json_dict() == {
@@ -161,3 +194,34 @@ class TestFitClosedForm:
             "numerator": ["1/1"],
             "denominator": ["1/1", "1/1"],
         }
+
+    @pytest.mark.parametrize(
+        "family, mu0_text, stdout", FIT_GOLDENS, ids=[f"{f}-{m or 'empty'}" for f, m, _ in FIT_GOLDENS]
+    )
+    def test_cli_output_pinned(self, capsys, family, mu0_text, stdout):
+        assert main(["fit", "--family", family, "--mu0", mu0_text]) == 0
+        assert capsys.readouterr().out == stdout
+
+    @settings(max_examples=60, deadline=None)
+    @given(mu0=partitions_min_two(10), family=st.sampled_from("AB"), data=st.data())
+    def test_times_central_binomial_equals_lemma(self, mu0, family, data):
+        fn = fit_closed_form(mu0, family)
+        lemma = sum_A if family == "A" else sum_B
+        n = data.draw(st.integers(mu0.weight(), mu0.weight() + 80))
+        assert comb(2 * n, n) * fn(n) == lemma(mu0, n)
+
+    @pytest.mark.parametrize("cap, code", [(10, 6), (11, 0)])
+    def test_degree_cap_boundary(self, capsys, cap, code):
+        # R for (7,3,3), family A, has numerator degree 10, denominator 11
+        argv = ["fit", "--family", "A", "--mu0", "7,3,3", "--degree-cap", str(cap)]
+        assert main(argv) == code
+        if code:
+            assert "degree cap 10" in capsys.readouterr().err
+
+    def test_validation_mismatch_is_internal_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(discovery, "sum_B", lambda mu0, n: sum_B(mu0, n) + (n == 9))
+        mu0 = make_partition([3, 2])
+        with pytest.raises(InternalConsistencyError, match="n=9"):
+            fit_closed_form(mu0, "B")
+        assert main(["fit", "--family", "B", "--mu0", "3,2"]) == 4
+        assert "n=9" in capsys.readouterr().err

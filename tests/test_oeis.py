@@ -12,6 +12,7 @@ from charsum.oeis import (
     OeisNetworkError,
     OeisParseError,
     QueryTruncationWarning,
+    UnparsableCacheWarning,
     cache_key,
     offline_transport,
 )
@@ -80,6 +81,12 @@ class TestLookup:
 
     def test_max_results(self, client):
         assert len(client.lookup(CENTRAL_BINOMIAL_QUERY, max_results=1)) == 1
+
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, "2", True, None])
+    def test_max_results_must_be_a_positive_integer(self, client, bad):
+        with pytest.raises(ValueError, match="max_results must be a positive integer"):
+            client.lookup(CENTRAL_BINOMIAL_QUERY, max_results=bad)
+        assert client._transport.calls == []
 
     def test_too_few_terms_rejected(self, client):
         with pytest.raises(ValueError, match="at least 6"):
@@ -207,6 +214,27 @@ class TestFailures:
         assert c.lookup(CENTRAL_BINOMIAL_QUERY)[0].sequence_id == "A000984"
         # only the parsed reply, and no temporary file beside it
         assert list(tmp_path.iterdir()) == [c.cache_path("1,2,6,20,70,252")]
+
+
+    def test_cache_file_that_does_not_parse_is_a_miss(self, tmp_path):
+        transport = RecordingTransport({"1,2,6,20,70,252": CENTRAL_BINOMIAL_RESPONSE})
+        c = OeisClient(transport=transport, cache_dir=tmp_path, min_interval=0.0)
+        path = c.seed_cache("1,2,6,20,70,252", "<html>503</html>")
+        with pytest.warns(UnparsableCacheWarning, match=path.name) as record:
+            assert c.lookup(CENTRAL_BINOMIAL_QUERY)[0].sequence_id == "A000984"
+        assert len(record) == 1
+        assert transport.calls == ["1,2,6,20,70,252"]
+        assert path.read_text() == CENTRAL_BINOMIAL_RESPONSE
+        assert list(tmp_path.iterdir()) == [path]
+        assert c.lookup(CENTRAL_BINOMIAL_QUERY)[0].sequence_id == "A000984"
+        assert len(transport.calls) == 1
+
+    def test_cache_file_that_does_not_parse_stays_if_the_reply_fails(self, tmp_path):
+        c = OeisClient(cache_dir=tmp_path, min_interval=0.0)  # offline transport
+        path = c.seed_cache("1,2,6,20,70,252", "<html>503</html>")
+        with pytest.warns(UnparsableCacheWarning), pytest.raises(OeisNetworkError):
+            c.lookup(CENTRAL_BINOMIAL_QUERY)
+        assert path.read_text() == "<html>503</html>"
 
 
 class TestEnvironment:
