@@ -3,15 +3,20 @@
 Outputs are deterministic given flags and fixtures.  Big integers are always
 printed as decimal strings in JSON so consumers never overflow.  Exit codes:
 
-  0  success (for verify: every n in the range holds)
-  1  verify ran and the identity failed for some n
-  2  usage errors: unknown flags, malformed partitions/ranges/value lists
-  3  domain preconditions: weight mismatch, n below |mu0|, a part equal to 1,
-     not theorem form, j out of range, row cap exceeded, too few OEIS terms
-  4  internal cross-check mismatch (sum --mode both, char --check-all, fit)
-  5  search module errors
-  6  fit module errors (including: no fit within the degree cap)
-  7  OEIS lookup failures (network disabled/unreachable, malformed response)
+  0    success (for verify: every n in the range holds)
+  1    verify ran and the identity failed for some n
+  2    usage errors: unknown flags, malformed partitions/ranges/value lists
+  3    domain preconditions: weight mismatch, n below |mu0|, a part equal to 1,
+       not theorem form, j out of range, row cap exceeded, too few OEIS terms
+  4    internal cross-check mismatch (sum --mode both, char --check-all,
+       or a value breaking an identity the maths guarantees, in any command)
+  5    search parameters out of range (K < 2, window < 4)
+  6    no fit within the degree cap
+  7    OEIS lookup failures (network disabled/unreachable, malformed response)
+  141  stdout was closed before the output was written (128 + SIGPIPE)
+
+Each command raises and ``main`` maps the exception to its code through
+``EXIT_CODES``, printing one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .charsums import (
     sum_B_bruteforce,
     verify_theorem,
 )
-from .discovery import FitError, fit_closed_form, search_pairs
+from .discovery import FitError, SearchError, fit_closed_form, search_pairs
 from .oeis import OeisClient, OeisError, live_transport, offline_transport
 from .partition import Partition, PartitionFormatError, format_partition, parse_partition
 
@@ -44,23 +49,47 @@ EXIT_MISMATCH = 4
 EXIT_SEARCH = 5
 EXIT_FIT = 6
 EXIT_NETWORK = 7
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class UsageError(Exception):
+    """A malformed range or value list on the command line."""
+
+
+# The exit code of each exception a command may raise.  The first class that
+# matches wins, so every subclass of ValueError comes before ValueError.
+EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
+    (PartitionFormatError, EXIT_USAGE),
+    (UsageError, EXIT_USAGE),
+    (InternalConsistencyError, EXIT_MISMATCH),
+    (SearchError, EXIT_SEARCH),
+    (FitError, EXIT_FIT),
+    (OeisError, EXIT_NETWORK),
+    (ValueError, EXIT_PRECONDITION),
+)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
     """"lo..hi" inclusive, or a single "n"."""
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    try:
+        if ".." in text:
+            lo_s, hi_s = text.split("..", 1)
+            lo, hi = int(lo_s), int(hi_s)
+        else:
+            lo = hi = int(text)
+    except ValueError as exc:
+        raise UsageError(f"bad n range: {exc}") from None
     if lo > hi:
-        raise ValueError(f"empty range {text!r}")
+        raise UsageError(f"bad n range: empty range {text!r}")
     return lo, hi
+
+
+def _parse_values(text: str) -> list[int]:
+    """"v1,v2,..." as integers; empty items are skipped."""
+    try:
+        return [int(tok.strip()) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise UsageError(f"values must be comma-separated integers: {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -80,13 +109,8 @@ def _jobs(text: str) -> int:
 
 
 def cmd_char(args) -> int:
-    try:
-        lam = parse_partition(args.lambda_)
-        mu = parse_partition(args.mu)
-    except PartitionFormatError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_PRECONDITION, str(exc))
+    lam = parse_partition(args.lambda_)
+    mu = parse_partition(args.mu)
 
     def tworow_value() -> int:
         if len(lam) > 2:
@@ -105,32 +129,29 @@ def cmd_char(args) -> int:
         "ct": lambda: char_ct(lam, mu, max_rows=args.row_cap),
         "tworow": tworow_value,
     }
-    try:
-        if args.check_all:
-            values = {"mn": evaluators["mn"]()}
-            if len(lam) <= args.row_cap:
-                values["ct"] = evaluators["ct"]()
-            if len(lam) <= 2:
-                values["tworow"] = evaluators["tworow"]()
-            agree = len(set(values.values())) == 1
-            if args.format == "json":
-                print(
-                    json.dumps(
-                        {
-                            "lambda": format_partition(lam),
-                            "mu": format_partition(mu),
-                            "values": {k: str(v) for k, v in values.items()},
-                            "agree": agree,
-                        }
-                    )
+    if args.check_all:
+        values = {"mn": evaluators["mn"]()}
+        if len(lam) <= args.row_cap:
+            values["ct"] = evaluators["ct"]()
+        if len(lam) <= 2:
+            values["tworow"] = evaluators["tworow"]()
+        agree = len(set(values.values())) == 1
+        if args.format == "json":
+            print(
+                json.dumps(
+                    {
+                        "lambda": format_partition(lam),
+                        "mu": format_partition(mu),
+                        "values": {k: str(v) for k, v in values.items()},
+                        "agree": agree,
+                    }
                 )
-            else:
-                for method, v in values.items():
-                    print(f"{method} {v}")
-            return EXIT_OK if agree else EXIT_MISMATCH
-        value = evaluators[args.method]()
-    except ValueError as exc:
-        return _fail(EXIT_PRECONDITION, str(exc))
+            )
+        else:
+            for method, v in values.items():
+                print(f"{method} {v}")
+        return EXIT_OK if agree else EXIT_MISMATCH
+    value = evaluators[args.method]()
     if args.format == "json":
         print(
             json.dumps(
@@ -148,38 +169,25 @@ def cmd_char(args) -> int:
 
 
 def cmd_sum(args) -> int:
-    try:
-        mu0 = parse_partition(args.mu0)
-    except PartitionFormatError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_PRECONDITION, str(exc))
-    try:
-        n_lo, n_hi = _parse_range(args.n)
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, f"bad n range: {exc}")
+    mu0 = parse_partition(args.mu0)
+    n_lo, n_hi = _parse_range(args.n)
 
     lemma = sum_A if args.family == "A" else sum_B
     brute = sum_A_bruteforce if args.family == "A" else sum_B_bruteforce
     rows = []
-    try:
-        for n in range(n_lo, n_hi + 1):
-            if args.mode == "lemma":
-                value = lemma(mu0, n)
-            elif args.mode == "brute":
-                value = brute(mu0, n)
-            else:
-                value = lemma(mu0, n)
-                check = brute(mu0, n)
-                if value != check:
-                    raise InternalConsistencyError(
-                        f"lemma/brute mismatch at n={n}: {value} vs {check}"
-                    )
-            rows.append((n, value))
-    except InternalConsistencyError as exc:
-        return _fail(EXIT_MISMATCH, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_PRECONDITION, str(exc))
+    for n in range(n_lo, n_hi + 1):
+        if args.mode == "lemma":
+            value = lemma(mu0, n)
+        elif args.mode == "brute":
+            value = brute(mu0, n)
+        else:
+            value = lemma(mu0, n)
+            check = brute(mu0, n)
+            if value != check:
+                raise InternalConsistencyError(
+                    f"lemma/brute mismatch at n={n}: {value} vs {check}"
+                )
+        rows.append((n, value))
 
     if args.format == "json":
         print(
@@ -206,20 +214,7 @@ def cmd_sum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        mu0 = parse_partition(args.mu0)
-    except PartitionFormatError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_PRECONDITION, str(exc))
-    try:
-        n_lo, n_hi = _parse_range(args.n)
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, f"bad n range: {exc}")
-    try:
-        report = verify_theorem(mu0, n_lo, n_hi)
-    except ValueError as exc:
-        return _fail(EXIT_PRECONDITION, str(exc))
+    report = verify_theorem(parse_partition(args.mu0), *_parse_range(args.n))
 
     if args.format == "json":
         print(json.dumps(report.to_json_dict()))
@@ -240,29 +235,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
-        pairs = search_pairs(args.K, args.window, jobs=args.jobs)
-    except ValueError as exc:
-        return _fail(EXIT_SEARCH, str(exc))
-    for pair in pairs:
+    for pair in search_pairs(args.K, args.window, jobs=args.jobs):
         print(json.dumps(pair.to_json_dict()))
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
-    try:
-        mu0 = parse_partition(args.mu0)
-    except PartitionFormatError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_PRECONDITION, str(exc))
+    mu0 = parse_partition(args.mu0)
     n_lo = args.n_lo if args.n_lo is not None else mu0.weight()
-    try:
-        fn = fit_closed_form(mu0, args.family, n_lo=n_lo, degree_cap=args.degree_cap)
-    except InternalConsistencyError as exc:
-        return _fail(EXIT_MISMATCH, str(exc))
-    except (FitError, ValueError) as exc:
-        return _fail(EXIT_FIT, str(exc))
+    fn = fit_closed_form(mu0, args.family, n_lo=n_lo, degree_cap=args.degree_cap)
     out = {"family": args.family, "mu0": format_partition(mu0), "n_lo": n_lo}
     out.update(fn.to_json_dict())
     print(json.dumps(out))
@@ -270,19 +251,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_oeis(args) -> int:
-    try:
-        values = [int(tok.strip()) for tok in args.values.split(",") if tok.strip()]
-    except ValueError:
-        return _fail(EXIT_USAGE, f"values must be comma-separated integers: {args.values!r}")
+    values = _parse_values(args.values)
     transport = live_transport if args.live else offline_transport
     cache_dir = Path(args.cache_dir) if args.cache_dir else None
     client = OeisClient(transport=transport, cache_dir=cache_dir)
-    try:
-        matches = client.lookup(values, max_results=args.max_results)
-    except ValueError as exc:
-        return _fail(EXIT_PRECONDITION, str(exc))
-    except OeisError as exc:
-        return _fail(EXIT_NETWORK, str(exc))
+    matches = client.lookup(values, max_results=args.max_results)
     if args.format == "json":
         print(
             json.dumps(
@@ -356,18 +329,33 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     # Exact values outgrow CPython's default 4300-digit int<->str limit (A(3)(n)
     # near n = 7150); lift it for this call only, so importing changes nothing.
-    if not hasattr(sys, "set_int_max_str_digits"):  # CPython < 3.10.7: no limit
-        return args.func(args)
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    # CPython < 3.10.7 has no limit.
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
+    except tuple(cls for cls, _ in EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
     finally:
-        sys.set_int_max_str_digits(saved)
+        if limited:
+            sys.set_int_max_str_digits(saved)
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`charsum ... | head -1`).  Python flushes
+        # stdout again at exit; aim it at devnull so that flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from typing import Callable, Optional
 from .charsums import InternalConsistencyError, _small_poly, sum_A, sum_B
 from .partition import (
     Partition,
+    check_mu0_n,
     companion_mu_prime,
     enumerate_partitions,
     format_partition,
@@ -31,6 +32,10 @@ from .polyring import IntPoly
 
 MIN_RATIO_WINDOW = 3  # n_hi - n_lo must be at least this
 DEFAULT_SEARCH_WINDOW = 12
+
+
+class SearchError(ValueError):
+    """Search parameters out of range: K < 2 or window < 4."""
 
 
 class FitError(ValueError):
@@ -72,10 +77,8 @@ def ratio_test(
         raise ValueError(
             f"|mu0_prime| must be |mu0|+2, got {mu0p.weight()} vs {mu0.weight()}"
         )
-    if any(p == 1 for p in mu0) or any(p == 1 for p in mu0p):
-        raise ValueError("partitions must have smallest part >= 2")
-    if n_lo < mu0.weight():
-        raise ValueError(f"n_lo={n_lo} is below |mu0|={mu0.weight()}")
+    check_mu0_n(mu0, n_lo)
+    check_mu0_n(mu0p, n_lo + 2)
     if n_hi - n_lo < MIN_RATIO_WINDOW:
         raise ValueError(f"evidence window needs n_hi - n_lo >= {MIN_RATIO_WINDOW}")
 
@@ -131,9 +134,9 @@ def search_pairs(
     a process pool; the output does not change.
     """
     if K < 2:
-        raise ValueError("K must be >= 2")
+        raise SearchError("K must be >= 2")
     if window < 4:
-        raise ValueError("window must be >= 4")
+        raise SearchError("window must be >= 4")
     levels = [
         (w, list(enumerate_partitions(w, min_part=2)), list(enumerate_partitions(w + 2, min_part=2)))
         for w in range(K + 1)
@@ -295,13 +298,10 @@ def fit_closed_form(
     on the derivation, R(n) * C(2n, n) must equal the lemma's value at every
     n in [n_lo, n_lo + D + 3]; a mismatch is an InternalConsistencyError.
     """
-    if any(p == 1 for p in mu0):
-        raise ValueError("mu0 must have smallest part >= 2")
-    value = _family_fn(family)
     if n_lo is None:
         n_lo = mu0.weight()
-    if n_lo < mu0.weight():
-        raise ValueError(f"n_lo={n_lo} is below |mu0|={mu0.weight()}")
+    check_mu0_n(mu0, n_lo)
+    value = _family_fn(family)
     if degree_cap is None:
         degree_cap = 2 * mu0.weight() + 4
 

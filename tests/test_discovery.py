@@ -15,6 +15,7 @@ from charsum.cli import main
 from charsum.discovery import (
     FitError,
     RationalFn,
+    SearchError,
     fit_closed_form,
     ratio_test,
     search_pairs,
@@ -118,6 +119,11 @@ class TestSearchPairs:
         with pytest.raises(ValueError, match="window"):
             search_pairs(4, 3)
 
+    @pytest.mark.parametrize("K, window", [(1, 8), (4, 3)])
+    def test_parameter_errors_are_search_errors(self, K, window):
+        with pytest.raises(SearchError):
+            search_pairs(K, window)
+
     def test_join_matches_pairwise_ratio_test(self):
         # K = 14 with window 12 is the first to report pairs outside the
         # theorem ((14) -> (14,2) among them), so both verdicts are exercised
@@ -187,6 +193,13 @@ class TestFitClosedForm:
     def test_part_one_rejected(self):
         with pytest.raises(ValueError, match="smallest part"):
             fit_closed_form(make_partition([2, 1]), "A")
+
+    @pytest.mark.parametrize("parts, n_lo", [([2, 1], None), ([3], 2)], ids=["part-1", "n_lo-below"])
+    def test_preconditions_are_not_fit_errors(self, parts, n_lo):
+        # FitError means only "no fit within the degree cap" (exit 6)
+        with pytest.raises(ValueError) as exc:
+            fit_closed_form(make_partition(parts), "A", n_lo=n_lo)
+        assert not isinstance(exc.value, FitError)
 
     def test_json_shape(self):
         fn = fit_closed_form(Partition(), "A")

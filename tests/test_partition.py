@@ -1,6 +1,8 @@
 """Partition construction, enumeration, and the power-run decomposition."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from charsum.partition import (
     Partition,
@@ -81,6 +83,12 @@ class TestParseFormat:
         for parts in [(5, 4, 3, 2), (7,), ()]:
             p = Partition(parts)
             assert parse_partition(format_partition(p)) == p
+
+    @given(raw=st.lists(st.integers(1, 40), max_size=12))
+    def test_roundtrip_property(self, raw):
+        p = make_partition(raw)
+        assert parse_partition(format_partition(p)) == p
+        assert parse_partition(" , ".join(map(str, raw))) == p  # any order, spaces
 
     def test_tokenize_error(self):
         with pytest.raises(PartitionFormatError):
