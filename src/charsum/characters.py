@@ -7,68 +7,40 @@
    where the a_i are the parts of the padded class other than 1.  P has
    degree n+1 and satisfies c_j = -c_{n+1-j}; for 0 <= j <= n/2 the
    coefficient is the genuine character on (n-j, j).
-3. ``char_mn``: recursive border-strip removal with memoization, used as the
-   brute-force oracle for the other two.
+3. ``char_mn``: Murnaghan-Nakayama on James's abacus, used as the brute-force
+   oracle for the other two.  The shape is its ascending beta-set (first-column
+   hook lengths); removing a k-border-strip moves a bead b to an empty b-k,
+   with sign (-1)^(beads strictly between).  Only the class's parts >= 2 are
+   removed one by one; the 1s are closed at once by the hook-length formula
+   f^lambda = |lambda|!/prod(hooks), so the recursion is as deep as the number
+   of parts >= 2 and the memo key carries no 1s.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
+from math import factorial, prod
 
 from .partition import Partition, check_mu0_n, make_partition
 from .polyring import ONE_MINUS_X, IntPoly, binomial_range
 
 DEFAULT_ROW_CAP = 4
 
+# Distinct (beta-set, remaining parts) states the oracle keeps; a brute-force
+# sum at one n of the benchmark's windows visits at most about 400.
+ORACLE_CACHE_SIZE = 4096
+
 
 class RowCapExceeded(ValueError):
     """Shape has too many rows for full expansion; use char_mn instead."""
 
 
-class MultiLaurent:
-    """Sparse multivariate Laurent polynomial: exponent vector -> integer."""
-
-    __slots__ = ("terms", "nvars")
-
-    def __init__(self, nvars: int, terms: dict[tuple[int, ...], int] | None = None):
-        clean: dict[tuple[int, ...], int] = {}
-        for exps, c in (terms or {}).items():
-            if len(exps) != nvars:
-                raise ValueError(f"exponent vector {exps} is not length {nvars}")
-            if c != 0:
-                clean[exps] = c
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "nvars", nvars)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiLaurent is immutable")
-
-    def coeff(self, exps: tuple[int, ...]) -> int:
-        return self.terms.get(tuple(exps), 0)
-
-    def __mul__(self, other: "MultiLaurent") -> "MultiLaurent":
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        return MultiLaurent(self.nvars, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiLaurent)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
+def _check_weights(lmbda: Partition, mu: Partition) -> None:
+    if lmbda.weight() != mu.weight():
+        raise ValueError(
+            f"weight mismatch: |lambda|={lmbda.weight()} but |mu|={mu.weight()}"
         )
-
-    def __repr__(self) -> str:
-        return f"MultiLaurent({self.nvars}, {self.terms!r})"
 
 
 def char_ct(lmbda: Partition, mu: Partition, max_rows: int = DEFAULT_ROW_CAP) -> int:
@@ -79,44 +51,42 @@ def char_ct(lmbda: Partition, mu: Partition, max_rows: int = DEFAULT_ROW_CAP) ->
     vector (lmbda_1, ..., lmbda_m).  Term count grows quickly with the row
     count, hence the cap.
     """
-    if lmbda.weight() != mu.weight():
-        raise ValueError(
-            f"weight mismatch: |lambda|={lmbda.weight()} but |mu|={mu.weight()}"
-        )
+    _check_weights(lmbda, mu)
     m = len(lmbda)
     if m > max_rows:
         raise RowCapExceeded(
             f"lambda has {m} rows, cap is {max_rows}; use char_mn instead"
         )
-    if m == 0:
-        return 1
-
-    product = MultiLaurent(m, {(0,) * m: 1})
+    target = lmbda.parts
+    # {exponent vector: coefficient}; each 1 - x_j/x_i keeps a term or moves
+    # one unit of exponent from row i to row j with the opposite sign.
+    product = {(0,) * m: 1}
     for i in range(m):
         for j in range(i + 1, m):
-            exps = [0] * m
-            exps[j] += 1
-            exps[i] -= 1
-            factor = MultiLaurent(m, {(0,) * m: 1, tuple(exps): -1})
-            product = product * factor
+            grown = dict(product)
+            for exps, c in product.items():
+                moved = list(exps)
+                moved[i] -= 1
+                moved[j] += 1
+                moved = tuple(moved)
+                grown[moved] = grown.get(moved, 0) - c
+            product = {exps: c for exps, c in grown.items() if c}
 
     # Power sums only raise exponents, so once they start, any term with an
-    # exponent already above its target row length can never contribute.
-    target = tuple(lmbda.parts)
-    for part in sorted(mu.parts, reverse=True):
-        factor_terms: dict[tuple[int, ...], int] = {}
-        for i in range(m):
-            exps = [0] * m
-            exps[i] = part
-            factor_terms[tuple(exps)] = 1
-        product = product * MultiLaurent(m, factor_terms)
-        pruned = {
-            exps: c
-            for exps, c in product.terms.items()
-            if all(e <= t for e, t in zip(exps, target))
-        }
-        product = MultiLaurent(m, pruned)
-    return product.coeff(target)
+    # exponent already above its target row length can never contribute:
+    # prune those once here, then check only the row each power sum raises.
+    product = {
+        exps: c for exps, c in product.items() if all(e <= t for e, t in zip(exps, target))
+    }
+    for part in mu.parts:
+        grown = {}
+        for exps, c in product.items():
+            for i in range(m):
+                if exps[i] + part <= target[i]:
+                    raised = exps[:i] + (exps[i] + part,) + exps[i + 1 :]
+                    grown[raised] = grown.get(raised, 0) + c
+        product = {exps: c for exps, c in grown.items() if c}
+    return product.get(target, 0)
 
 
 def two_row_gen_poly(mu0: Partition, n: int) -> IntPoly:
@@ -145,52 +115,48 @@ def char_two_row(n: int, j: int, mu0: Partition) -> int:
 
 
 def char_mn(lmbda: Partition, mu: Partition) -> int:
-    """Character value by recursive border-strip removal (the oracle path)."""
-    if lmbda.weight() != mu.weight():
-        raise ValueError(
-            f"weight mismatch: |lambda|={lmbda.weight()} but |mu|={mu.weight()}"
-        )
-    return _mn(tuple(lmbda.parts), tuple(sorted(mu.parts, reverse=True)))
+    """Character value by border-strip removal on the abacus (the oracle path)."""
+    _check_weights(lmbda, mu)
+    betas = tuple(part + i for i, part in enumerate(reversed(lmbda.parts)))
+    return _mn(betas, tuple(part for part in mu.parts if part >= 2))
 
 
-@lru_cache(maxsize=None)
-def _mn(shape: tuple[int, ...], classes: tuple[int, ...]) -> int:
-    if not classes:
-        return 1
-    k = classes[0]
-    rest = classes[1:]
+@lru_cache(maxsize=ORACLE_CACHE_SIZE)
+def _mn(betas: tuple[int, ...], parts: tuple[int, ...]) -> int:
+    """chi^lambda on the class ``parts`` padded with 1s.
+
+    ``betas`` is lambda's ascending beta-set with empty rows trimmed (no bead
+    at 0); ``parts`` is non-increasing and holds no 1s.
+    """
+    if not parts:
+        return _dimension(betas)
+    k, rest = parts[0], parts[1:]
     total = 0
-    for smaller, height in _strip_removals(shape, k):
-        sign = -1 if height % 2 else 1
-        total += sign * _mn(smaller, rest)
+    # bead i moves k places down to an empty position; the i - j beads it
+    # passes are the strip's height
+    for i in range(bisect_left(betas, k), len(betas)):
+        landing = betas[i] - k
+        j = bisect_left(betas, landing)
+        if betas[j] == landing:
+            continue
+        moved = betas[:j] + (landing,) + betas[j:i] + betas[i + 1 :]
+        # beads at 0..empty-1 are empty rows: drop them and shift the rest down
+        empty = 0
+        while empty < len(moved) and moved[empty] == empty:
+            empty += 1
+        if empty:
+            moved = tuple(b - empty for b in moved[empty:])
+        value = _mn(moved, rest)
+        total += -value if (i - j) % 2 else value
     return total
 
 
-def _strip_removals(shape: tuple[int, ...], k: int):
-    """All ways to remove a k-border-strip, as (new shape, strip height).
-
-    First-column hook lengths b_i = shape_i + (m - 1 - i) are distinct; a
-    removal is b -> b - k with b - k >= 0 and not already present, and the
-    height is the number of other hooks strictly between b - k and b.
-    """
-    m = len(shape)
-    betas = [shape[i] + (m - 1 - i) for i in range(m)]
+def _dimension(betas: tuple[int, ...]) -> int:
+    """f^lambda = |lambda|!/prod(hooks); a bead b's row has hooks b - g, g < b empty."""
     occupied = set(betas)
-    for b in betas:
-        nb = b - k
-        if nb < 0 or nb in occupied:
-            continue
-        height = sum(1 for c in betas if nb < c < b)
-        replaced = sorted((c for c in betas if c != b), reverse=True)
-        # re-insert the moved hook, keeping the list sorted descending
-        pos = 0
-        while pos < len(replaced) and replaced[pos] > nb:
-            pos += 1
-        replaced.insert(pos, nb)
-        new_shape = tuple(replaced[i] - (m - 1 - i) for i in range(m))
-        while new_shape and new_shape[-1] == 0:
-            new_shape = new_shape[:-1]
-        yield new_shape, height
+    gaps = [g for g in range(max(betas, default=0)) if g not in occupied]
+    hooks = prod(b - g for b in betas for g in gaps[: bisect_left(gaps, b)])
+    return factorial(sum(betas) - len(betas) * (len(betas) - 1) // 2) // hooks
 
 
 def padded_class(mu0: Partition, n: int) -> Partition:

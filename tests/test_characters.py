@@ -1,12 +1,15 @@
 """Agreement between the three character evaluation routes."""
 
 import random
-from math import factorial
+from collections import Counter
+from functools import lru_cache
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charsum.characters import (
-    MultiLaurent,
     RowCapExceeded,
     char_ct,
     char_mn,
@@ -16,26 +19,6 @@ from charsum.characters import (
 )
 from charsum.partition import Partition, enumerate_partitions, make_partition
 from charsum.polyring import IntPoly
-
-
-class TestConstantTermExtractor:
-    def test_worked_example(self):
-        # CT(x1^-3 x2 + x1 x2^-2 + 5) = 5
-        ml = MultiLaurent(2, {(-3, 1): 1, (1, -2): 1, (0, 0): 5})
-        assert ml.coeff((0, 0)) == 5
-
-    def test_zero_coefficients_dropped(self):
-        ml = MultiLaurent(1, {(0,): 0, (1,): 2})
-        assert ml.terms == {(1,): 2}
-
-    def test_mul_cancels(self):
-        a = MultiLaurent(1, {(0,): 1, (1,): 1})
-        b = MultiLaurent(1, {(0,): 1, (1,): -1})
-        assert (a * b).terms == {(0,): 1, (2,): -1}
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            MultiLaurent(2, {(1,): 1})
 
 
 class TestCharCt:
@@ -61,6 +44,14 @@ class TestCharCt:
             char_ct(lam, mu)
         # configurable cap admits it
         assert char_ct(lam, mu, max_rows=5) == char_mn(lam, mu)
+
+    def test_sign_character_cancels_to_one_term(self):
+        # the difference factors of 1^m expand to many terms that must cancel
+        # down to the single value (-1)^(number of 2s)
+        for twos in range(4):
+            lam = make_partition([1] * 6)
+            mu = make_partition([2] * twos + [1] * (6 - 2 * twos))
+            assert char_ct(lam, mu, max_rows=6) == (-1) ** twos
 
 
 class TestCharMn:
@@ -89,6 +80,46 @@ class TestCharMn:
             one_class = make_partition([1] * n)
             total = sum(char_mn(lam, one_class) ** 2 for lam in enumerate_partitions(n))
             assert total == factorial(n)
+
+    def test_column_orthogonality(self):
+        # sum over shapes of chi(mu)^2 is the centralizer order z_mu
+        for n in range(13):
+            shapes = list(enumerate_partitions(n))
+            for mu in enumerate_partitions(n):
+                z = prod(k**m * factorial(m) for k, m in Counter(mu).items())
+                assert sum(char_mn(lam, mu) ** 2 for lam in shapes) == z, mu
+
+    def test_class_of_ones_counts_standard_tableaux(self):
+        @lru_cache(maxsize=None)
+        def syt(shape):
+            # branching rule: the largest entry sits in a removable corner
+            if not shape:
+                return 1
+            total = 0
+            for i, part in enumerate(shape):
+                if i + 1 == len(shape) or shape[i + 1] < part:
+                    smaller = shape[:i] + (part - 1,) + shape[i + 1 :]
+                    total += syt(tuple(p for p in smaller if p))
+            return total
+
+        for n in range(13):
+            ones = make_partition([1] * n)
+            for lam in enumerate_partitions(n):
+                assert char_mn(lam, ones) == syt(lam.parts), lam
+
+
+def _partitions_of(n, max_len=None):
+    choices = list(enumerate_partitions(n))
+    if max_len is not None:
+        choices = [p for p in choices if len(p) <= max_len]
+    return st.sampled_from(choices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 16).flatmap(lambda n: st.tuples(_partitions_of(n, 3), _partitions_of(n))))
+def test_mn_agrees_with_ct_on_three_rows(pair):
+    lam, mu = pair
+    assert char_mn(lam, mu) == char_ct(lam, mu)
 
 
 class TestTwoRowGenPoly:

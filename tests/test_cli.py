@@ -1,6 +1,7 @@
 """CLI: golden outputs, exit codes, and schema-valid JSON."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -408,3 +409,35 @@ def test_import_loads_neither_http_nor_process_pool():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
     assert out == "[]\n"
+
+
+def _cli_process(*argv, script=None):
+    src = str(Path(charsum.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, *([script] if script else ["-m", "charsum.cli"]), *argv]
+    return subprocess.run(command, capture_output=True, env=env, timeout=120)
+
+
+class TestDeepClasses:
+    """The oracle recurses once per part >= 2, so long tails of 1s cost no depth."""
+
+    @pytest.mark.parametrize("family", ["A", "B"])
+    def test_brute_force_sum_at_n_500(self, family):
+        proc = _cli_process("sum", family, "--mu0", "3", "--n", "500", "--mode", "both")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    def test_character_on_600_ones(self):
+        proc = _cli_process("char", "--lambda", "500,100", "--mu", ",".join(["1"] * 600))
+        assert proc.returncode == 0
+        assert proc.stdout == f"{math.comb(600, 100) - math.comb(600, 99)}\n".encode()
+
+
+def test_trace_shim_binds_every_name_it_wraps(tmp_path):
+    # perfbench/trace_shim.py wraps library functions by name and reads the
+    # oracle's cache; a rename there would make it fail or change the output
+    argv = ["sum", "B", "--mu0", "3,2", "--n", "5..9", "--mode", "both"]
+    shim = Path(__file__).parents[1] / "perfbench" / "trace_shim.py"
+    traced = _cli_process(str(tmp_path / "op.spans"), "0", "--", *argv, script=str(shim))
+    plain = _cli_process(*argv)
+    assert traced.returncode == 0, traced.stderr
+    assert plain.returncode == 0 and traced.stdout == plain.stdout
