@@ -13,7 +13,7 @@ from .charsums import (
     sum_B_bruteforce,
     verify_theorem,
 )
-from .discovery import FitError, fit_closed_form, search_pairs
+from .discovery import fit_closed_form, search_pairs
 from .oeis import OeisClient, OeisError
 from .partition import (
     Partition,
@@ -48,7 +48,6 @@ __all__ = [
     "PartitionFormatError",
     "RowCapExceeded",
     "InternalConsistencyError",
-    "FitError",
     "OeisError",
     "__version__",
 ]

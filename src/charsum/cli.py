@@ -7,16 +7,16 @@ printed as decimal strings in JSON so consumers never overflow.  Exit codes:
   1    verify ran and the identity failed for some n
   2    usage errors: unknown flags, malformed partitions/ranges/value lists
   3    domain preconditions: weight mismatch, n below |mu0|, a part equal to 1,
-       not theorem form, j out of range, row cap exceeded, too few OEIS terms
+       not theorem form, j out of range, row cap exceeded, too few OEIS terms,
+       a class with too many parts >= 2 for the border-strip oracle
   4    internal cross-check mismatch (sum --mode both, char --check-all,
        or a value breaking an identity the maths guarantees, in any command)
   5    search parameters out of range (K < 2, window < 4)
-  6    no fit within the degree cap
   7    OEIS lookup failures (network disabled/unreachable, malformed response)
   141  stdout was closed before the output was written (128 + SIGPIPE)
 
 Each command raises and ``main`` maps the exception to its code through
-``EXIT_CODES``, printing one ``error:`` line to stderr.
+``EXIT_CODES``, printing one ``error:`` line to stderr.  Code 6 is unused.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .charsums import (
     sum_B_bruteforce,
     verify_theorem,
 )
-from .discovery import FitError, SearchError, fit_closed_form, search_pairs
+from .discovery import SearchError, fit_closed_form, search_pairs
 from .oeis import OeisClient, OeisError, live_transport, offline_transport
 from .partition import Partition, PartitionFormatError, format_partition, parse_partition
 
@@ -47,7 +47,6 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_MISMATCH = 4
 EXIT_SEARCH = 5
-EXIT_FIT = 6
 EXIT_NETWORK = 7
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
@@ -56,16 +55,18 @@ class UsageError(Exception):
     """A malformed range or value list on the command line."""
 
 
-# The exit code of each exception a command may raise.  The first class that
-# matches wins, so every subclass of ValueError comes before ValueError.
-EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
-    (PartitionFormatError, EXIT_USAGE),
-    (UsageError, EXIT_USAGE),
-    (InternalConsistencyError, EXIT_MISMATCH),
-    (SearchError, EXIT_SEARCH),
-    (FitError, EXIT_FIT),
-    (OeisError, EXIT_NETWORK),
-    (ValueError, EXIT_PRECONDITION),
+# The exit code of each exception a command may raise, and the error line it
+# prints (None: the exception's own message).  The first class that matches
+# wins, so every subclass of ValueError comes before ValueError.
+EXIT_CODES: tuple[tuple[type[Exception], int, Optional[str]], ...] = (
+    (PartitionFormatError, EXIT_USAGE, None),
+    (UsageError, EXIT_USAGE, None),
+    (InternalConsistencyError, EXIT_MISMATCH, None),
+    (SearchError, EXIT_SEARCH, None),
+    (OeisError, EXIT_NETWORK, None),
+    (ValueError, EXIT_PRECONDITION, None),
+    # the border-strip oracle recurses once per part >= 2 of the class
+    (RecursionError, EXIT_PRECONDITION, "the class has too many parts >= 2 for the border-strip oracle"),
 )
 
 
@@ -101,11 +102,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
-
-
-def _jobs(text: str) -> int:
-    """A --jobs value: a positive integer, capped at the machine's CPU count."""
-    return min(_positive_int(text), os.cpu_count() or 1)
 
 
 def cmd_char(args) -> int:
@@ -235,16 +231,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    for pair in search_pairs(args.K, args.window, jobs=args.jobs):
+    for pair in search_pairs(args.K, args.window):
         print(json.dumps(pair.to_json_dict()))
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
     mu0 = parse_partition(args.mu0)
-    n_lo = args.n_lo if args.n_lo is not None else mu0.weight()
-    fn = fit_closed_form(mu0, args.family, n_lo=n_lo, degree_cap=args.degree_cap)
-    out = {"family": args.family, "mu0": format_partition(mu0), "n_lo": n_lo}
+    fn = fit_closed_form(mu0, args.family)
+    out = {"family": args.family, "mu0": format_partition(mu0), "n_lo": mu0.weight()}
     out.update(fn.to_json_dict())
     print(json.dumps(out))
     return EXIT_OK
@@ -305,14 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="find constant-ratio pairs (JSON lines)")
     p.add_argument("--K", type=int, required=True, help="max weight of mu0")
     p.add_argument("--window", type=int, default=12)
-    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("fit", help="fit family(n) = C(2n,n) * R(n), R rational")
     p.add_argument("--family", choices=["A", "B"], required=True)
     p.add_argument("--mu0", required=True, metavar="PARTS")
-    p.add_argument("--n-lo", type=int, default=None)
-    p.add_argument("--degree-cap", type=int, default=None)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("oeis", help="look an integer sequence up")
@@ -336,9 +328,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except tuple(cls for cls, _ in EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
+    except tuple(cls for cls, _, _ in EXIT_CODES) as exc:
+        code, message = next((code, msg) for cls, code, msg in EXIT_CODES if isinstance(exc, cls))
+        print(f"error: {message or exc}", file=sys.stderr)
+        return code
     finally:
         if limited:
             sys.set_int_max_str_digits(saved)

@@ -8,8 +8,9 @@ sequence once and joins the mu0 and mu0' whose gcd-reduced sequences are
 equal, and flags the pairs matching the odd-parts-plus-power-run
 construction.  ``fit_closed_form`` writes down the rational function R with
 family(n) = C(2n, n) * R(n) from the constant-term formula, each term being
-a product of linear factors in n, and checks it against the lemma on a
-window of n past its degree.
+a product of linear factors in n, and checks it against the lemma at the
+D + 4 points n = |mu0| .. |mu0| + D + 3, D its degree.  Both run in one
+process.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ DEFAULT_SEARCH_WINDOW = 12
 
 class SearchError(ValueError):
     """Search parameters out of range: K < 2 or window < 4."""
-
-
-class FitError(ValueError):
-    """No validated rational fit within the degree cap."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,7 @@ def ratio_test(
     return Fraction(a_ref, b_ref)
 
 
-def _sequence(task: tuple[str, tuple[int, ...], int, int]) -> tuple[int, tuple[int, ...]]:
+def _sequence(family: str, mu0: Partition, n_lo: int, n_hi: int) -> tuple[int, tuple[int, ...]]:
     """(g, seq // g), g = gcd(seq), for seq the values over n in [n_lo, n_hi]
     of A(mu0)(n) (family "A") or B(mu0)(n + 2) (family "B").
 
@@ -107,8 +104,6 @@ def _sequence(task: tuple[str, tuple[int, ...], int, int]) -> tuple[int, tuple[i
     sequences have a constant ratio exactly when their reduced forms are
     equal, and the ratio is then the ratio of their gcds.
     """
-    family, parts, n_lo, n_hi = task
-    mu0 = Partition(parts)
     if family == "A":
         seq = [sum_A(mu0, n) for n in range(n_lo, n_hi + 1)]
     else:
@@ -119,9 +114,7 @@ def _sequence(task: tuple[str, tuple[int, ...], int, int]) -> tuple[int, tuple[i
     return g, tuple(v // g for v in seq)
 
 
-def search_pairs(
-    K: int, window: int = DEFAULT_SEARCH_WINDOW, jobs: int = 1
-) -> list[TheoremPair]:
+def search_pairs(K: int, window: int = DEFAULT_SEARCH_WINDOW) -> list[TheoremPair]:
     """All constant-ratio pairs with |mu0| <= K and |mu0'| = |mu0| + 2.
 
     Every mu0 with smallest part >= 2 (the empty partition included) is
@@ -130,41 +123,20 @@ def search_pairs(
     Each partition's sequence is computed once, and the pairs of a weight
     are found by joining the mu0 on their reduced sequences.  Output order
     is deterministic: weight ascending, then the lexicographic-descending
-    enumeration order for mu0 and mu0'.  jobs > 1 computes the sequences in
-    a process pool; the output does not change.
+    enumeration order for mu0 and mu0'.
     """
     if K < 2:
         raise SearchError("K must be >= 2")
     if window < 4:
         raise SearchError("window must be >= 4")
-    levels = [
-        (w, list(enumerate_partitions(w, min_part=2)), list(enumerate_partitions(w + 2, min_part=2)))
-        for w in range(K + 1)
-    ]
-    tasks = [
-        (family, p.parts, w, w + window)
-        for w, mu0s, mu0ps in levels
-        for family, group in (("A", mu0s), ("B", mu0ps))
-        for p in group
-    ]
-    if jobs > 1:
-        # imported here: the import is slow, and most searches run in one process
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(tasks) // (4 * jobs))
-            sequences = iter(list(pool.map(_sequence, tasks, chunksize=chunk)))
-    else:
-        sequences = map(_sequence, tasks)
-
     pairs = []
-    for w, mu0s, mu0ps in levels:
-        a_seqs = [next(sequences) for _ in mu0s]
+    for w in range(K + 1):
         buckets: dict[tuple[int, ...], list[tuple[Partition, int]]] = {}
-        for mu0p in mu0ps:
-            g_b, key = next(sequences)
+        for mu0p in enumerate_partitions(w + 2, min_part=2):
+            g_b, key = _sequence("B", mu0p, w, w + window)
             buckets.setdefault(key, []).append((mu0p, g_b))
-        for mu0, (g_a, key) in zip(mu0s, a_seqs):
+        for mu0 in enumerate_partitions(w, min_part=2):
+            g_a, key = _sequence("A", mu0, w, w + window)
             matches = buckets.get(key)
             if not matches:
                 continue
@@ -284,35 +256,21 @@ def _exact_ratio(family: str, mu0: Partition) -> tuple[IntPoly, IntPoly]:
     return num, den
 
 
-def fit_closed_form(
-    mu0: Partition,
-    family: str,
-    n_lo: Optional[int] = None,
-    degree_cap: Optional[int] = None,
-) -> RationalFn:
+def fit_closed_form(mu0: Partition, family: str) -> RationalFn:
     """Find R with family(mu0)(n) = C(2n, n) * R(n), exactly, for all n.
 
     R is derived from the constant-term formula (``_exact_ratio``) and
-    returned in reduced monic-denominator form.  FitError if its degree,
-    max(deg numerator, deg denominator) = D, exceeds degree_cap.  As a check
-    on the derivation, R(n) * C(2n, n) must equal the lemma's value at every
-    n in [n_lo, n_lo + D + 3]; a mismatch is an InternalConsistencyError.
+    returned in reduced monic-denominator form; its degree,
+    max(deg numerator, deg denominator) = D, is at most 2|mu0| + 1.  As a
+    check on the derivation, R(n) * C(2n, n) must equal the lemma's value at
+    every n in [|mu0|, |mu0| + D + 3]; a mismatch is an
+    InternalConsistencyError.
     """
-    if n_lo is None:
-        n_lo = mu0.weight()
+    n_lo = mu0.weight()
     check_mu0_n(mu0, n_lo)
     value = _family_fn(family)
-    if degree_cap is None:
-        degree_cap = 2 * mu0.weight() + 4
-
     num, den = _exact_ratio(family, mu0)
-    degree = max(num.degree, den.degree)
-    if degree > degree_cap:
-        raise FitError(
-            f"no validated rational fit for family {family}, mu0={format_partition(mu0) or 'empty'}"
-            f" up to degree cap {degree_cap}"
-        )
-    for n in range(n_lo, n_lo + degree + 4):
+    for n in range(n_lo, n_lo + max(num.degree, den.degree) + 4):
         d = _eval(den.coeffs, n)
         if d == 0 or _eval(num.coeffs, n) * comb(2 * n, n) != value(mu0, n) * d:
             raise InternalConsistencyError(

@@ -40,12 +40,14 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()
+        # the factors are mostly sparse (1 +- x^k, a linear factor): list
+        # other's nonzero terms once rather than skip its zeros for every i
+        terms = [(j, cb) for j, cb in enumerate(b) if cb]
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
+                for j, cb in terms:
+                    out[i + j] += ca * cb
         return IntPoly(out)
 
     def __eq__(self, other) -> bool:

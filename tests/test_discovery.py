@@ -13,7 +13,6 @@ from charsum import discovery
 from charsum.charsums import InternalConsistencyError, sum_A, sum_B, verify_theorem
 from charsum.cli import main
 from charsum.discovery import (
-    FitError,
     RationalFn,
     SearchError,
     fit_closed_form,
@@ -102,9 +101,6 @@ class TestSearchPairs:
     def test_deterministic(self):
         assert search_pairs(4, 8) == search_pairs(4, 8)
 
-    def test_jobs_do_not_change_results(self):
-        assert search_pairs(4, 8, jobs=2) == search_pairs(4, 8, jobs=1)
-
     def test_predicted_pairs_verify(self):
         for pair in search_pairs(6, 12):
             assert pair.theorem_predicted
@@ -171,20 +167,19 @@ class TestFitClosedForm:
         for n in range(5, 26):
             assert Fraction(sum_B(mu0, n)) == comb(2 * n, n) * fn(n)
 
-    def test_stability_under_shifted_start(self):
-        mu0 = make_partition([3])
-        assert fit_closed_form(mu0, "A", n_lo=3) == fit_closed_form(mu0, "A", n_lo=4)
-        assert fit_closed_form(Partition(), "A", n_lo=0) == fit_closed_form(
-            Partition(), "A", n_lo=1
-        )
-
     def test_denominator_is_monic_and_reduced(self):
         fn = fit_closed_form(make_partition([2]), "A")
         assert fn.denominator[-1] == 1
 
-    def test_degree_cap_failure_names_cap(self):
-        with pytest.raises(FitError, match="degree cap 0"):
-            fit_closed_form(Partition(), "A", degree_cap=0)
+    def test_degree_is_at_most_twice_weight_plus_one(self):
+        # the bound _exact_ratio's docstring derives, reached at some mu0
+        slack = []
+        for w in range(15):
+            for mu0 in enumerate_partitions(w, 2):
+                for family in "AB":
+                    num, den = discovery._exact_ratio(family, mu0)
+                    slack.append(max(num.degree, den.degree) - (2 * w + 1))
+        assert max(slack) == 0
 
     def test_bad_family(self):
         with pytest.raises(ValueError, match="family"):
@@ -194,12 +189,12 @@ class TestFitClosedForm:
         with pytest.raises(ValueError, match="smallest part"):
             fit_closed_form(make_partition([2, 1]), "A")
 
-    @pytest.mark.parametrize("parts, n_lo", [([2, 1], None), ([3], 2)], ids=["part-1", "n_lo-below"])
-    def test_preconditions_are_not_fit_errors(self, parts, n_lo):
-        # FitError means only "no fit within the degree cap" (exit 6)
-        with pytest.raises(ValueError) as exc:
-            fit_closed_form(make_partition(parts), "A", n_lo=n_lo)
-        assert not isinstance(exc.value, FitError)
+    @pytest.mark.parametrize("parts", [[2, 1]], ids=["part-1"])
+    def test_preconditions_are_not_fit_errors(self, capsys, parts):
+        # a precondition is a domain error (exit 3), as in every command
+        with pytest.raises(ValueError, match="smallest part"):
+            fit_closed_form(make_partition(parts), "A")
+        assert main(["fit", "--family", "A", "--mu0", ",".join(map(str, parts))]) == 3
 
     def test_json_shape(self):
         fn = fit_closed_form(Partition(), "A")
@@ -222,14 +217,6 @@ class TestFitClosedForm:
         lemma = sum_A if family == "A" else sum_B
         n = data.draw(st.integers(mu0.weight(), mu0.weight() + 80))
         assert comb(2 * n, n) * fn(n) == lemma(mu0, n)
-
-    @pytest.mark.parametrize("cap, code", [(10, 6), (11, 0)])
-    def test_degree_cap_boundary(self, capsys, cap, code):
-        # R for (7,3,3), family A, has numerator degree 10, denominator 11
-        argv = ["fit", "--family", "A", "--mu0", "7,3,3", "--degree-cap", str(cap)]
-        assert main(argv) == code
-        if code:
-            assert "degree cap 10" in capsys.readouterr().err
 
     def test_validation_mismatch_is_internal_error(self, capsys, monkeypatch):
         monkeypatch.setattr(discovery, "sum_B", lambda mu0, n: sum_B(mu0, n) + (n == 9))

@@ -22,7 +22,7 @@ from charsum.cli import EXIT_CODES, main
 GOLDENS = json.loads((Path(__file__).parent / "cli_exit_goldens.json").read_text())
 
 # The codes of the README exit table that a run in-process can return.
-README_CODES = {0, 1, 2, 3, 4, 5, 6, 7}
+README_CODES = {0, 1, 2, 3, 4, 5, 7}
 
 
 def _src_env():
@@ -32,7 +32,7 @@ def _src_env():
 
 
 def test_table_lists_every_subclass_before_its_base():
-    classes = [cls for cls, _ in EXIT_CODES]
+    classes = [cls for cls, *_ in EXIT_CODES]
     for i, cls in enumerate(classes):
         assert not any(issubclass(later, cls) for later in classes[i + 1 :]), cls
 
@@ -138,20 +138,11 @@ COMMANDS = {
     "verify": ([], {"--mu0": (PARTITIONS, True), "--n": (RANGES, True), "--format": (FORMATS, False)}),
     "search": (
         [],
-        {
-            "--K": (ints(-2, 8), True),
-            "--window": (ints(-2, 16), False),
-            "--jobs": (rarely(st.sampled_from(["0", "x"]), st.just("1")), False),
-        },
+        {"--K": (ints(-2, 8), True), "--window": (ints(-2, 16), False)},
     ),
     "fit": (
         [],
-        {
-            "--family": (choices("A", "B"), True),
-            "--mu0": (PARTITIONS, True),
-            "--n-lo": (ints(-2, 60), False),
-            "--degree-cap": (ints(-2, 12), False),
-        },
+        {"--family": (choices("A", "B"), True), "--mu0": (PARTITIONS, True)},
     ),
     "oeis": (
         [

@@ -23,7 +23,6 @@ PUBLIC_API = [
     "PartitionFormatError",
     "RowCapExceeded",
     "InternalConsistencyError",
-    "FitError",
     "OeisError",
     "__version__",
 ]
