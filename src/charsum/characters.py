@@ -1,19 +1,19 @@
-"""Symmetric-group character values, computed three independent ways.
+"""Symmetric-group character values, computed three ways.
 
 1. ``char_ct``: exact multivariate constant-term extraction from the product
    of difference factors and power sums over one variable per row.
 2. ``char_two_row``: for shapes with at most two rows, the coefficient c_j of
-   the generating polynomial P(x) = (1-x)(1+x)^(n-sum a_i) * prod(1 + x^a_i),
-   where the a_i are the parts of the padded class other than 1.  P has
-   degree n+1 and satisfies c_j = -c_{n+1-j}; for 0 <= j <= n/2 the
-   coefficient is the genuine character on (n-j, j).
-3. ``char_mn``: Murnaghan-Nakayama on James's abacus, used as the brute-force
-   oracle for the other two.  The shape is its ascending beta-set (first-column
-   hook lengths); removing a k-border-strip moves a bead b to an empty b-k,
-   with sign (-1)^(beads strictly between).  Only the class's parts >= 2 are
-   removed one by one; the 1s are closed at once by the hook-length formula
-   f^lambda = |lambda|!/prod(hooks), so the recursion is as deep as the number
-   of parts >= 2 and the memo key carries no 1s.
+   P(x) = (1+x)^(n-sum a_i) * T(x), T(x) = (1-x) prod(1 + x^a_i), where the
+   a_i are the parts of the padded class other than 1.  P has degree n+1 and
+   c_j = -c_{n+1-j}; for 0 <= j <= n/2, c_j is the character on (n-j, j).
+   It shares its kernel, ``polyring.binomial_convolution``, with the sum A.
+3. ``char_mn``: Murnaghan-Nakayama on James's abacus, the independent oracle
+   for the other two and for the sums.  The shape is its ascending beta-set
+   (first-column hook lengths); removing a k-border-strip moves a bead b to
+   an empty b-k, with sign (-1)^(beads strictly between).  Only the class's
+   parts >= 2 are removed one by one; the 1s are closed at once by the
+   hook-length formula f^lambda = |lambda|!/prod(hooks), so the recursion is
+   as deep as the number of parts >= 2 and the memo key carries no 1s.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .partition import Partition, check_mu0_n, make_partition
-from .polyring import ONE_MINUS_X, IntPoly, binomial_range
+from .polyring import ONE_MINUS_X, IntPoly, binomial_convolution
 
 DEFAULT_ROW_CAP = 4
 
@@ -89,29 +89,24 @@ def char_ct(lmbda: Partition, mu: Partition, max_rows: int = DEFAULT_ROW_CAP) ->
     return product.get(target, 0)
 
 
-def two_row_gen_poly(mu0: Partition, n: int) -> IntPoly:
-    """P(x) = (1-x)(1+x)^(n - sum a_i) * prod_i (1 + x^{a_i}); degree n+1.
-
-    Coefficient j is the two-rowed character on (n-j, j) for j <= n/2 and
-    extends anti-palindromically beyond.
-    """
-    check_mu0_n(mu0, n)
-    excess = n - mu0.weight()
-    p = ONE_MINUS_X * IntPoly(binomial_range(excess, 0, excess))
-    for a in mu0.parts:
-        p = p * IntPoly([1] + [0] * (a - 1) + [1])
-    return p
+def two_row_factor(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of T(x) = (1-x) prod_i (1 + x^{a_i}) for the parts a_i."""
+    t = ONE_MINUS_X
+    for a in parts:
+        t = t * IntPoly([1] + [0] * (a - 1) + [1])
+    return t.coeffs
 
 
 def char_two_row(n: int, j: int, mu0: Partition) -> int:
-    """Coefficient c_j of the two-rowed generating polynomial.
+    """Coefficient c_j of the two-rowed generating polynomial (1+x)^(n-|mu0|) T(x).
 
     Genuine character of (n-j, j) on the padded class for 0 <= j <= n/2; the
     range extends to j = n+1 (the true degree), where c_{n+1} = -c_0.
     """
     if not 0 <= j <= n + 1:
         raise ValueError(f"j must be in [0, {n + 1}], got {j}")
-    return two_row_gen_poly(mu0, n).coeff(j)
+    check_mu0_n(mu0, n)
+    return binomial_convolution(two_row_factor(mu0.parts), n - mu0.weight(), j)
 
 
 def char_mn(lmbda: Partition, mu: Partition) -> int:

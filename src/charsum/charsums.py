@@ -6,11 +6,11 @@ Both families admit exact constant-term expressions.  With mu0 = (a_1,...,a_r)
   two-rowed  A(mu0)(n) = -1/2 * [x^(n+1)] (1-x)^2 (1+x)^(2(n-sum a)) prod (1+x^{a_i})^2
   hook       B(mu0)(n) =        [x^(n-1)] (1+x)^(2n-2-2 sum a) prod (x^{a_i}-(-1)^{a_i})(1-(-1)^{a_i} x^{a_i})
 
-Both are one coefficient of (1+x)^e * small(x), where small(x) is the fixed
-product of (1 +- x^a) factors, of degree about 2|mu0|+2.  ``_constant_term``
-serves both: small(x) is built once per (family, mu0) and cached, and the
-deg(small)+1 binomials it pairs with come from ``binomial_range``, one
-``math.comb`` plus exact ratio steps, instead of one n-digit ``comb`` each.
+Both are one coefficient of (1+x)^e * small(x), where small(x) is a fixed
+product of (1 +- x^a) factors of degree about 2|mu0|+2 (for A, the square of
+the two-row factor T(x) = (1-x) prod (1+x^{a_i})), built once per (family,
+mu0) and cached.  ``FAMILIES`` holds each family's other constants, and
+``polyring.binomial_convolution``, shared with ``char_two_row``, is the kernel.
 
 When 2n-2-2*sum(a) < 0 (exactly the n = |mu0| edge) the binomial factor is
 read as a formal power series; the generalized binomial coefficients keep
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .characters import char_mn, padded_class
+from .characters import char_mn, padded_class, two_row_factor
 from .partition import (
     Partition,
     check_mu0_n,
@@ -37,7 +37,7 @@ from .partition import (
     theorem_form_of,
     theorem_form_reason,
 )
-from .polyring import ONE_MINUS_X, IntPoly, binomial_range
+from .polyring import IntPoly, binomial_convolution
 
 
 class InternalConsistencyError(RuntimeError):
@@ -48,60 +48,47 @@ class InternalConsistencyError(RuntimeError):
 # with K = 16 touches about 600.
 SMALL_POLY_CACHE_SIZE = 1024
 
+# family -> (h - |mu0|, top - |mu0|, divisor): with m = n - h, the family's
+# sum at n is [x^(m + top)] (1+x)^(2m) small(x) / divisor.
+FAMILIES = {"A": (0, 1, -2), "B": (1, 0, 1)}
+
 
 @lru_cache(maxsize=SMALL_POLY_CACHE_SIZE)
 def _small_poly(family: str, parts: tuple[int, ...]) -> tuple[int, ...]:
     """Coefficients of the fixed factor small(x) of family A or B for mu0."""
     if family == "A":
-        small = ONE_MINUS_X * ONE_MINUS_X
-        for a in parts:
-            f = IntPoly([1] + [0] * (a - 1) + [1])
-            small = small * f * f
-    else:
-        small = IntPoly((1,))
-        for a in parts:
-            s = 1 if a % 2 == 0 else -1  # (-1)^a
-            small = small * IntPoly([-s] + [0] * (a - 1) + [1])
-            small = small * IntPoly([1] + [0] * (a - 1) + [-s])
+        t = IntPoly(two_row_factor(parts))
+        return (t * t).coeffs
+    small = IntPoly((1,))
+    for a in parts:
+        s = 1 if a % 2 == 0 else -1  # (-1)^a
+        small = small * IntPoly([-s] + [0] * (a - 1) + [1])
+        small = small * IntPoly([1] + [0] * (a - 1) + [-s])
     return small.coeffs
 
 
-def _constant_term(family: str, mu0: Partition, e: int, target: int) -> int:
-    """[x^target] (1+x)^e * small(x), expanding (1+x)^e as a binomial series.
-
-    ``small`` has non-negative exponents only, so series terms beyond
-    x^target can never contribute: the truncation order is exact.
-    """
-    small = _small_poly(family, mu0.parts)
-    binoms = binomial_range(e, target - len(small) + 1, target)
-    return sum(c * b for c, b in zip(small, reversed(binoms)) if c)
+def _family_sum(family: str, mu0: Partition, n: int) -> int:
+    """The family's sum at n, checked to be a non-negative integer."""
+    check_mu0_n(mu0, n)
+    dh, dtop, divisor = FAMILIES[family]
+    m = n - mu0.weight() - dh
+    c = binomial_convolution(_small_poly(family, mu0.parts), 2 * m, m + mu0.weight() + dtop)
+    value, rem = divmod(c, divisor)
+    if rem != 0 or value < 0:
+        raise InternalConsistencyError(
+            f"{family}(mu0={mu0!r}, n={n}) = {c}/{divisor} is not a non-negative integer"
+        )
+    return value
 
 
 def sum_A(mu0: Partition, n: int) -> int:
     """Sum of squared characters over all two-rowed shapes of n."""
-    check_mu0_n(mu0, n)
-    c = _constant_term("A", mu0, 2 * (n - mu0.weight()), n + 1)
-    value, rem = divmod(-c, 2)
-    if rem != 0:
-        raise InternalConsistencyError(
-            f"two-rowed coefficient {c} for mu0={mu0!r}, n={n} is odd"
-        )
-    if value < 0:
-        raise InternalConsistencyError(
-            f"two-rowed sum came out negative ({value}) for mu0={mu0!r}, n={n}"
-        )
-    return value
+    return _family_sum("A", mu0, n)
 
 
 def sum_B(mu0: Partition, n: int) -> int:
     """Sum of squared characters over all hook shapes of n."""
-    check_mu0_n(mu0, n)
-    value = _constant_term("B", mu0, 2 * n - 2 - 2 * mu0.weight(), n - 1)
-    if value < 0:
-        raise InternalConsistencyError(
-            f"hook sum came out negative ({value}) for mu0={mu0!r}, n={n}"
-        )
-    return value
+    return _family_sum("B", mu0, n)
 
 
 def sum_A_bruteforce(mu0: Partition, n: int) -> int:

@@ -37,7 +37,7 @@ from .charsums import (
     sum_B_bruteforce,
     verify_theorem,
 )
-from .discovery import SearchError, fit_closed_form, search_pairs
+from .discovery import DEFAULT_SEARCH_WINDOW, SearchError, fit_closed_form, search_pairs
 from .oeis import OeisClient, OeisError, live_transport, offline_transport
 from .partition import Partition, PartitionFormatError, format_partition, parse_partition
 
@@ -122,12 +122,12 @@ def cmd_char(args) -> int:
 
     evaluators = {
         "mn": lambda: char_mn(lam, mu),
-        "ct": lambda: char_ct(lam, mu, max_rows=args.row_cap),
+        "ct": lambda: char_ct(lam, mu),
         "tworow": tworow_value,
     }
     if args.check_all:
         values = {"mn": evaluators["mn"]()}
-        if len(lam) <= args.row_cap:
+        if len(lam) <= DEFAULT_ROW_CAP:
             values["ct"] = evaluators["ct"]()
         if len(lam) <= 2:
             values["tworow"] = evaluators["tworow"]()
@@ -279,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True, metavar="PARTS")
     p.add_argument("--method", choices=["mn", "ct", "tworow"], default="mn")
     p.add_argument("--check-all", action="store_true", help="compare all applicable methods")
-    p.add_argument("--row-cap", type=int, default=DEFAULT_ROW_CAP)
     p.add_argument("--format", choices=["plain", "json"], default="plain")
     p.set_defaults(func=cmd_char)
 
@@ -299,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="find constant-ratio pairs (JSON lines)")
     p.add_argument("--K", type=int, required=True, help="max weight of mu0")
-    p.add_argument("--window", type=int, default=12)
+    p.add_argument("--window", type=int, default=DEFAULT_SEARCH_WINDOW)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("fit", help="fit family(n) = C(2n,n) * R(n), R rational")

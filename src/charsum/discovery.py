@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Callable, Optional
 
-from .charsums import InternalConsistencyError, _small_poly, sum_A, sum_B
+from .charsums import FAMILIES, InternalConsistencyError, _small_poly, sum_A, sum_B
 from .partition import (
     Partition,
     check_mu0_n,
@@ -212,21 +212,23 @@ def _family_fn(family: str) -> Callable[[Partition, int], int]:
 def _exact_ratio(family: str, mu0: Partition) -> tuple[IntPoly, IntPoly]:
     """R(n) = family(mu0)(n) / C(2n, n) as (numerator, denominator) in lowest terms.
 
-    With m = n - h, the family is sum_j c_j C(2m, m + s_j) over the
-    coefficients c_j of small(x), where s_j = top - j; family A is scaled
-    by -1/2.  Over C(2n, n) each term is a product of linear factors in n:
+    With h, top and the divisor from ``FAMILIES`` and m = n - h, the family
+    is sum_j c_j C(2m, m + s_j) / divisor over the coefficients c_j of
+    small(x), where s_j = top - j.  Over C(2n, n) each term is a product of
+    linear factors in n:
 
       C(2m, m) / C(2n, n)     = prod_{t=0..h-1} (n - t) / (2 (2(n - t) - 1))
       C(2m, m + s) / C(2m, m) = prod_{i=1..|s|} (m - i + 1) / (m + i)
 
-    so over the common denominator 2^h prod_t (2n - 2t - 1) prod_{i<=S} (m + i),
-    S = max |s_j|, numerator and denominator are integer polynomials of
-    degree at most 2|mu0| + 1.  The denominator's linear factors are
-    distinct, so dropping each one that divides the numerator leaves R in
-    lowest terms.
+    so over the common denominator
+    divisor * 2^h prod_t (2n - 2t - 1) prod_{i<=S} (m + i), S = max |s_j|,
+    numerator and denominator are integer polynomials of degree at most
+    2|mu0| + 1.  The denominator's linear factors are distinct, so dropping
+    each one that divides the numerator leaves R in lowest terms; its sign
+    is the divisor's until the caller makes it monic.
     """
-    w = mu0.weight()
-    h, top = (w, w + 1) if family == "A" else (w + 1, w)
+    dh, dtop, divisor = FAMILIES[family]
+    h, top = mu0.weight() + dh, mu0.weight() + dtop
     by_abs_s: dict[int, int] = {}  # C(2m, m + s) = C(2m, m - s)
     for j, c in enumerate(_small_poly(family, mu0.parts)):
         if c:
@@ -241,12 +243,12 @@ def _exact_ratio(family: str, mu0: Partition) -> tuple[IntPoly, IntPoly]:
             term = term * IntPoly((i - h, 1))  # m + i
         for k, v in enumerate(term.coeffs):
             total[k] += v
-    num = IntPoly(total if family == "B" else [-v for v in total])
+    num = IntPoly(total)
     for t in range(h):
         num = num * IntPoly((-t, 1))
     # linear factors a*n + b of the denominator, as (b, a)
     factors = [(-2 * t - 1, 2) for t in range(h)] + [(i - h, 1) for i in range(1, S + 1)]
-    den = IntPoly((2**h if family == "B" else 2 ** (h + 1),))
+    den = IntPoly((divisor * 2**h,))
     for b, a in factors:
         quotient = _divide_linear(num.coeffs, a, b)
         if quotient is None:

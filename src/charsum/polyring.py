@@ -2,8 +2,9 @@
 
 ``IntPoly`` is a dense coefficient tuple with classical convolution; no
 floating point anywhere.  ``binomial_coeff`` reads C(e, k) for any integer e,
-as the power-series coefficient of x^k in (1 + x)^e when e < 0, and
-``binomial_range`` gives a window of them for the price of one.
+as the power-series coefficient of x^k in (1 + x)^e when e < 0,
+``binomial_range`` gives a window of them for the price of one, and
+``binomial_convolution`` reads [x^k] (1 + x)^e * small(x) off one window.
 """
 
 from __future__ import annotations
@@ -96,3 +97,13 @@ def binomial_range(e: int, lo: int, hi: int) -> list[int]:
         c = c * j // (e - j + 1)
         out[j - 1 - lo] = c
     return out
+
+
+def binomial_convolution(small: tuple[int, ...], e: int, target: int) -> int:
+    """[x^target] (1+x)^e * small(x), with (1+x)^e read as a binomial series.
+
+    ``small`` (coefficients from x^0 up) has no negative exponents, so series
+    terms beyond x^target never contribute: only len(small) binomials are read.
+    """
+    binoms = binomial_range(e, target - len(small) + 1, target)
+    return sum(c * b for c, b in zip(small, reversed(binoms)) if c)

@@ -11,7 +11,7 @@ from math import comb
 
 import pytest
 
-from charsum.characters import char_ct, char_mn, char_two_row, padded_class, two_row_gen_poly
+from charsum.characters import char_ct, char_mn, char_two_row, padded_class
 from charsum.charsums import sum_A, sum_A_bruteforce, sum_B, sum_B_bruteforce
 from charsum.cli import main
 from charsum.discovery import fit_closed_form, search_pairs
@@ -161,7 +161,7 @@ def test_criterion_7_antipalindromicity_and_doubling():
             continue
         mu0 = rng.choice(candidates)
         n = rng.randint(w, 30)
-        p = two_row_gen_poly(mu0, n)
+        p = IntPoly(char_two_row(n, j, mu0) for j in range(n + 2))
         assert p.degree == n + 1, (mu0, n)
         for j in range(n + 2):
             assert p.coeff(j) == -p.coeff(n + 1 - j), (mu0, n, j)

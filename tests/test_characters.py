@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +15,10 @@ from charsum.characters import (
     char_mn,
     char_two_row,
     padded_class,
-    two_row_gen_poly,
 )
+from charsum.charsums import sum_A
 from charsum.partition import Partition, enumerate_partitions, make_partition
-from charsum.polyring import IntPoly
+from charsum.polyring import ONE_MINUS_X, IntPoly, binomial_coeff
 
 
 class TestCharCt:
@@ -122,24 +122,34 @@ def test_mn_agrees_with_ct_on_three_rows(pair):
     assert char_mn(lam, mu) == char_ct(lam, mu)
 
 
+def gen_poly(mu0, n):
+    """P(x), read coefficient by coefficient through ``char_two_row``."""
+    return IntPoly(char_two_row(n, j, mu0) for j in range(n + 2))
+
+
+MU0_UP_TO_10 = [mu0 for w in range(11) for mu0 in enumerate_partitions(w, 2)]
+
+
 class TestTwoRowGenPoly:
+    """The generating polynomial P(x) = (1-x)(1+x)^(n-|mu0|) prod (1 + x^a)."""
+
     def test_examples(self):
-        assert two_row_gen_poly(make_partition([2]), 2) == IntPoly((1, -1, 1, -1))
-        assert two_row_gen_poly(Partition(), 1) == IntPoly((1, 0, -1))
-        assert two_row_gen_poly(make_partition([3]), 3) == IntPoly((1, -1, 0, 1, -1))
+        assert gen_poly(make_partition([2]), 2) == IntPoly((1, -1, 1, -1))
+        assert gen_poly(Partition(), 1) == IntPoly((1, 0, -1))
+        assert gen_poly(make_partition([3]), 3) == IntPoly((1, -1, 0, 1, -1))
 
     def test_degree_is_n_plus_one(self):
         for mu0 in [Partition(), make_partition([2]), make_partition([3, 2])]:
             for n in range(mu0.weight(), mu0.weight() + 6):
-                assert two_row_gen_poly(mu0, n).degree == n + 1
+                assert gen_poly(mu0, n).degree == n + 1
 
     def test_part_one_rejected(self):
         with pytest.raises(ValueError, match="smallest part"):
-            two_row_gen_poly(make_partition([3, 1]), 6)
+            char_two_row(6, 0, make_partition([3, 1]))
 
     def test_n_below_weight_rejected(self):
         with pytest.raises(ValueError, match="below"):
-            two_row_gen_poly(make_partition([3]), 2)
+            char_two_row(2, 0, make_partition([3]))
 
     def test_antipalindromic_randomized(self):
         rng = random.Random(11)
@@ -150,10 +160,22 @@ class TestTwoRowGenPoly:
                 continue
             mu0 = rng.choice(candidates)
             n = rng.randint(w, 30)
-            p = two_row_gen_poly(mu0, n)
+            p = gen_poly(mu0, n)
             for j in range(n + 2):
                 assert p.coeff(j) == -p.coeff(n + 1 - j), (mu0, n, j)
             assert p.degree == n + 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(MU0_UP_TO_10), st.integers(0, 30))
+    def test_coefficients_of_the_expanded_product(self, mu0, excess):
+        n = mu0.weight() + excess
+        expected = ONE_MINUS_X * IntPoly(binomial_coeff(excess, k) for k in range(excess + 1))
+        for a in mu0.parts:
+            expected = expected * IntPoly([1] + [0] * (a - 1) + [1])
+        cs = [char_two_row(n, j, mu0) for j in range(n + 2)]
+        assert cs == [expected.coeff(j) for j in range(n + 2)]
+        assert all(cs[j] == -cs[n + 1 - j] for j in range(n + 2))
+        assert sum(c * c for c in cs) == 2 * sum_A(mu0, n)
 
 
 class TestCharTwoRow:
@@ -161,6 +183,10 @@ class TestCharTwoRow:
         assert char_two_row(3, 1, make_partition([3])) == -1
         assert char_two_row(2, 0, make_partition([2])) == 1
         assert char_two_row(2, 1, make_partition([2])) == -1
+
+    def test_large_n(self):
+        # P = (1-x)(1+x)^19997 (1 + x^3); x^3 is past j = 2
+        assert char_two_row(20000, 2, make_partition([3])) == comb(19997, 2) - comb(19997, 1)
 
     def test_extends_to_degree(self):
         # c_{n+1} = -c_0 is part of the surface

@@ -16,7 +16,7 @@ from charsum.charsums import (
 )
 from charsum.partition import Partition, enumerate_partitions, make_partition
 from charsum.polyring import ONE_MINUS_X, IntPoly, binomial_coeff
-from charsum.characters import two_row_gen_poly
+from charsum.characters import char_two_row
 
 
 class TestSumA:
@@ -141,7 +141,7 @@ class TestDoublingIdentity:
         # term is coefficient deg of that product
         for mu0, n in [([], 5), ([2], 6), ([3], 9), ([3, 2], 8), ([2, 2], 10)]:
             p = make_partition(mu0)
-            gen = two_row_gen_poly(p, n)
+            gen = IntPoly(char_two_row(n, j, p) for j in range(n + 2))
             ct = (gen * IntPoly(reversed(gen.coeffs))).coeff(gen.degree)
             assert ct == sum(c * c for c in gen.coeffs)
             assert ct == 2 * sum_A(p, n)

@@ -1,5 +1,6 @@
 """CLI: golden outputs, exit codes, and schema-valid JSON."""
 
+import importlib.util
 import json
 import math
 import os
@@ -426,12 +427,25 @@ class TestDeepClasses:
 def test_trace_shim_binds_every_name_it_wraps(tmp_path):
     # perfbench/trace_shim.py wraps library functions by name and reads the
     # oracle's cache; a rename there would make it fail or change the output
-    argv = ["sum", "B", "--mu0", "3,2", "--n", "5..9", "--mode", "both"]
-    shim = Path(__file__).parents[1] / "perfbench" / "trace_shim.py"
-    traced = _cli_process(str(tmp_path / "op.spans"), "0", "--", *argv, script=str(shim))
-    plain = _cli_process(*argv)
-    assert traced.returncode == 0, traced.stderr
-    assert plain.returncode == 0 and traced.stdout == plain.stdout
+    perfbench = Path(__file__).parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("spans", perfbench / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for i, argv in enumerate(
+        [
+            ["sum", "B", "--mu0", "3,2", "--n", "5..9", "--mode", "both"],
+            ["fit", "--family", "A", "--mu0", "5,3"],
+            ["search", "--K", "6", "--window", "6"],
+        ]
+    ):
+        span_file = tmp_path / f"{i}.spans"
+        traced = _cli_process(str(span_file), str(i), "--", *argv, script=str(perfbench / "trace_shim.py"))
+        plain = _cli_process(*argv)
+        assert traced.returncode == 0, traced.stderr
+        assert plain.returncode == 0 and traced.stdout == plain.stdout, argv
+        if argv[0] == "fit":
+            # the fit's self-check calls the sums by their module-level names
+            assert spans.op_totals(*spans.read(span_file))["fit_sum_calls"] > 0
 
 
 def test_every_flag_in_readme_cli_section_is_accepted():

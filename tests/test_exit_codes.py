@@ -122,7 +122,6 @@ COMMANDS = {
             "--mu": (PARTITIONS, True),
             "--method": (choices("mn", "ct", "tworow"), False),
             "--check-all": (FLAG, False),
-            "--row-cap": (ints(-1, 5), False),
             "--format": (choices("plain", "json"), False),
         },
     ),

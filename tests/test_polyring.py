@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from charsum.polyring import ONE_MINUS_X, IntPoly, binomial_coeff, binomial_range
+from charsum.polyring import ONE_MINUS_X, IntPoly, binomial_coeff, binomial_convolution, binomial_range
 
 
 def convolve_oracle(a, b):
@@ -112,6 +112,17 @@ class TestBinomialRange:
             original(3000, j) for j in range(1480, 1503)
         ]
         assert calls == [(3000, 1502)]
+
+
+class TestBinomialConvolution:
+    @given(
+        small=st.lists(st.integers(-3, 3), max_size=12),
+        e=st.integers(-30, 60),
+        target=st.integers(0, 80),
+    )
+    def test_matches_the_series_product(self, small, e, target):
+        expected = sum(c * binomial_coeff(e, target - k) for k, c in enumerate(small))
+        assert binomial_convolution(tuple(small), e, target) == expected
 
 
 class TestBinomialSeries:
