@@ -6,7 +6,10 @@
    P(x) = (1+x)^(n-sum a_i) * T(x), T(x) = (1-x) prod(1 + x^a_i), where the
    a_i are the parts of the padded class other than 1.  P has degree n+1 and
    c_j = -c_{n+1-j}; for 0 <= j <= n/2, c_j is the character on (n-j, j).
-   It shares its kernel, ``polyring.binomial_convolution``, with the sum A.
+   It shares its kernel, ``polyring.binomial_convolution``, with the sums.
+   The hook shapes have the same kind of factor: the character of
+   (n-k, 1^k) is the coefficient d_k of Q(x) = (1+x)^(n-sum a_i-1) * U(x),
+   U(x) = prod(1 - (-x)^a_i), for 0 <= k < n (James-Kerber 1981, 2.7).
 3. ``char_mn``: Murnaghan-Nakayama on James's abacus, the independent oracle
    for the other two and for the sums.  The shape is its ascending beta-set
    (first-column hook lengths); removing a k-border-strip moves a bead b to
@@ -95,6 +98,14 @@ def two_row_factor(parts: tuple[int, ...]) -> tuple[int, ...]:
     for a in parts:
         t = t * IntPoly([1] + [0] * (a - 1) + [1])
     return t.coeffs
+
+
+def hook_factor(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of U(x) = prod_i (1 - (-x)^{a_i}) for the parts a_i."""
+    u = IntPoly((1,))
+    for a in parts:
+        u = u * IntPoly([1] + [0] * (a - 1) + [-((-1) ** a)])
+    return u.coeffs
 
 
 def char_two_row(n: int, j: int, mu0: Partition) -> int:

@@ -212,34 +212,33 @@ def _family_fn(family: str) -> Callable[[Partition, int], int]:
 def _exact_ratio(family: str, mu0: Partition) -> tuple[IntPoly, IntPoly]:
     """R(n) = family(mu0)(n) / C(2n, n) as (numerator, denominator) in lowest terms.
 
-    With h, top and the divisor from ``FAMILIES`` and m = n - h, the family
-    is sum_j c_j C(2m, m + s_j) / divisor over the coefficients c_j of
-    small(x), where s_j = top - j.  Over C(2n, n) each term is a product of
-    linear factors in n:
+    With h and the divisor from ``FAMILIES`` and m = n - h, the family is
+    sum_j c_j C(2m, m + s_j) / divisor over the coefficients c_j of small(x),
+    where s_j = top - j and top = deg small / 2.  small is palindromic, so
+    the terms at s and -s are equal.  Over C(2n, n) each term is a product
+    of linear factors in n:
 
       C(2m, m) / C(2n, n)     = prod_{t=0..h-1} (n - t) / (2 (2(n - t) - 1))
       C(2m, m + s) / C(2m, m) = prod_{i=1..|s|} (m - i + 1) / (m + i)
 
     so over the common denominator
-    divisor * 2^h prod_t (2n - 2t - 1) prod_{i<=S} (m + i), S = max |s_j|,
+    divisor * 2^h prod_t (2n - 2t - 1) prod_{i<=top} (m + i),
     numerator and denominator are integer polynomials of degree at most
     2|mu0| + 1.  The denominator's linear factors are distinct, so dropping
-    each one that divides the numerator leaves R in lowest terms; its sign
-    is the divisor's until the caller makes it monic.
+    each one that divides the numerator leaves R in lowest terms.
     """
-    dh, dtop, divisor = FAMILIES[family]
-    h, top = mu0.weight() + dh, mu0.weight() + dtop
-    by_abs_s: dict[int, int] = {}  # C(2m, m + s) = C(2m, m - s)
-    for j, c in enumerate(_small_poly(family, mu0.parts)):
-        if c:
-            by_abs_s[abs(top - j)] = by_abs_s.get(abs(top - j), 0) + c
-    S = max(by_abs_s)
-    total = [0] * (S + 1)
-    for a, c in by_abs_s.items():
-        term = IntPoly((c,))
-        for i in range(1, a + 1):
+    dh, divisor = FAMILIES[family]
+    h = mu0.weight() + dh
+    small = _small_poly(family, mu0.parts)
+    top = len(small) // 2
+    total = [0] * (top + 1)
+    for s, c in enumerate(small[top:]):
+        if not c:
+            continue
+        term = IntPoly((c if s == 0 else 2 * c,))
+        for i in range(1, s + 1):
             term = term * IntPoly((1 - i - h, 1))  # m - i + 1
-        for i in range(a + 1, S + 1):
+        for i in range(s + 1, top + 1):
             term = term * IntPoly((i - h, 1))  # m + i
         for k, v in enumerate(term.coeffs):
             total[k] += v
@@ -247,7 +246,7 @@ def _exact_ratio(family: str, mu0: Partition) -> tuple[IntPoly, IntPoly]:
     for t in range(h):
         num = num * IntPoly((-t, 1))
     # linear factors a*n + b of the denominator, as (b, a)
-    factors = [(-2 * t - 1, 2) for t in range(h)] + [(i - h, 1) for i in range(1, S + 1)]
+    factors = [(-2 * t - 1, 2) for t in range(h)] + [(i - h, 1) for i in range(1, top + 1)]
     den = IntPoly((divisor * 2**h,))
     for b, a in factors:
         quotient = _divide_linear(num.coeffs, a, b)

@@ -41,10 +41,6 @@ class Partition:
     def weight(self) -> int:
         return sum(self.parts)
 
-    def min_part(self) -> int:
-        """Smallest part; 0 for the empty partition."""
-        return self.parts[-1] if self.parts else 0
-
     def __len__(self) -> int:
         return len(self.parts)
 

@@ -32,11 +32,6 @@ class IntPoly:
         """Highest nonzero index; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def coeff(self, k: int) -> int:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:

@@ -147,7 +147,7 @@ def test_criterion_6_proof_step_identities():
             f = IntPoly([1] + [0] * (a - 1) + [1])
             telescoped = telescoped * f * f
         assert direct == telescoped
-        assert sum_A(mu0, n) == -direct.coeff(n + 1) // 2 == -telescoped.coeff(n + 1) // 2
+        assert sum_A(mu0, n) == -direct.coeffs[n + 1] // 2 == -telescoped.coeffs[n + 1] // 2
     report(6, "proof-step polynomial identities for t <= 6")
 
 
@@ -164,9 +164,9 @@ def test_criterion_7_antipalindromicity_and_doubling():
         p = IntPoly(char_two_row(n, j, mu0) for j in range(n + 2))
         assert p.degree == n + 1, (mu0, n)
         for j in range(n + 2):
-            assert p.coeff(j) == -p.coeff(n + 1 - j), (mu0, n, j)
+            assert p.coeffs[j] == -p.coeffs[n + 1 - j], (mu0, n, j)
         # constant term of p(x) p(1/x): x^deg p(1/x) is p reversed
-        ct = (p * IntPoly(reversed(p.coeffs))).coeff(p.degree)
+        ct = (p * IntPoly(reversed(p.coeffs))).coeffs[p.degree]
         assert ct == 2 * sum_A(mu0, n), (mu0, n)
         done += 1
     report(7, "anti-palindromicity and doubling on 50 randomized cases")

@@ -14,11 +14,12 @@ from charsum.characters import (
     char_ct,
     char_mn,
     char_two_row,
+    hook_factor,
     padded_class,
 )
-from charsum.charsums import sum_A
+from charsum.charsums import sum_A, sum_B
 from charsum.partition import Partition, enumerate_partitions, make_partition
-from charsum.polyring import ONE_MINUS_X, IntPoly, binomial_coeff
+from charsum.polyring import ONE_MINUS_X, IntPoly, binomial_coeff, binomial_convolution
 
 
 class TestCharCt:
@@ -161,9 +162,9 @@ class TestTwoRowGenPoly:
             mu0 = rng.choice(candidates)
             n = rng.randint(w, 30)
             p = gen_poly(mu0, n)
-            for j in range(n + 2):
-                assert p.coeff(j) == -p.coeff(n + 1 - j), (mu0, n, j)
             assert p.degree == n + 1
+            for j in range(n + 2):
+                assert p.coeffs[j] == -p.coeffs[n + 1 - j], (mu0, n, j)
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(MU0_UP_TO_10), st.integers(0, 30))
@@ -173,9 +174,26 @@ class TestTwoRowGenPoly:
         for a in mu0.parts:
             expected = expected * IntPoly([1] + [0] * (a - 1) + [1])
         cs = [char_two_row(n, j, mu0) for j in range(n + 2)]
-        assert cs == [expected.coeff(j) for j in range(n + 2)]
+        assert cs == list(expected.coeffs)
         assert all(cs[j] == -cs[n + 1 - j] for j in range(n + 2))
         assert sum(c * c for c in cs) == 2 * sum_A(mu0, n)
+
+
+class TestHookFactor:
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from([mu0 for mu0 in MU0_UP_TO_10 if mu0.weight() <= 8]), st.integers(0, 6))
+    def test_coefficients_are_the_hook_characters(self, mu0, excess):
+        # Q = (1+x)^(n-|mu0|-1) U(x); at n = |mu0| the exponent is -1
+        n = mu0.weight() + excess
+        cls = padded_class(mu0, n)
+        ds = [binomial_convolution(hook_factor(mu0.parts), excess - 1, k) for k in range(n)]
+        assert ds == [char_mn(make_partition([n - k] + [1] * k), cls) for k in range(n)]
+        assert sum(d * d for d in ds) == sum_B(mu0, n)
+
+    def test_examples(self):
+        assert hook_factor(()) == (1,)
+        assert hook_factor((2,)) == (1, 0, -1)
+        assert hook_factor((3, 2)) == (1, 0, -1, 1, 0, -1)
 
 
 class TestCharTwoRow:

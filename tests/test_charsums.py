@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charsum.charsums import (
+    FAMILIES,
     InternalConsistencyError,
+    _small_poly,
     sum_A,
     sum_A_bruteforce,
     sum_B,
@@ -132,6 +134,13 @@ class TestKernelProperties:
         assert c % 2 == 0
         assert sum_A(mu0, n) == -c // 2
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_small_poly_is_palindromic_of_odd_length(self, family):
+        for w in range(13):
+            for mu0 in enumerate_partitions(w, 2):
+                small = _small_poly(family, mu0.parts)
+                assert len(small) % 2 == 1 and small == small[::-1], mu0
+
 
 class TestDoublingIdentity:
     def test_full_square_sum_is_twice_the_half_range(self):
@@ -142,7 +151,7 @@ class TestDoublingIdentity:
         for mu0, n in [([], 5), ([2], 6), ([3], 9), ([3, 2], 8), ([2, 2], 10)]:
             p = make_partition(mu0)
             gen = IntPoly(char_two_row(n, j, p) for j in range(n + 2))
-            ct = (gen * IntPoly(reversed(gen.coeffs))).coeff(gen.degree)
+            ct = (gen * IntPoly(reversed(gen.coeffs))).coeffs[gen.degree]
             assert ct == sum(c * c for c in gen.coeffs)
             assert ct == 2 * sum_A(p, n)
 
@@ -231,4 +240,4 @@ class TestProofStepIdentities:
                     f = IntPoly([1] + [0] * (a - 1) + [1])
                     telescoped = telescoped * f * f
                 assert direct == telescoped, (t, odds, n)
-                assert sum_A(mu0, n) == -direct.coeff(n + 1) // 2
+                assert sum_A(mu0, n) == -direct.coeffs[n + 1] // 2

@@ -434,6 +434,7 @@ def test_trace_shim_binds_every_name_it_wraps(tmp_path):
     for i, argv in enumerate(
         [
             ["sum", "B", "--mu0", "3,2", "--n", "5..9", "--mode", "both"],
+            ["sum", "A", "--mu0", "5,3,2", "--n", "10..13", "--mode", "both"],
             ["fit", "--family", "A", "--mu0", "5,3"],
             ["search", "--K", "6", "--window", "6"],
         ]
@@ -443,9 +444,15 @@ def test_trace_shim_binds_every_name_it_wraps(tmp_path):
         plain = _cli_process(*argv)
         assert traced.returncode == 0, traced.stderr
         assert plain.returncode == 0 and traced.stdout == plain.stdout, argv
+        totals = spans.op_totals(*spans.read(span_file))
         if argv[0] == "fit":
             # the fit's self-check calls the sums by their module-level names
-            assert spans.op_totals(*spans.read(span_file))["fit_sum_calls"] > 0
+            assert totals["fit_sum_calls"] > 0
+        if argv[-1] == "both":
+            # the brute-force sums reach the oracle by the names the shim wraps
+            lo, hi = map(int, argv[argv.index("--n") + 1].split(".."))
+            assert totals[f"charsums.sum_{argv[1]}_bruteforce.calls"] == hi - lo + 1
+            assert totals["characters.char_mn.calls"] > 0
 
 
 def test_every_flag_in_readme_cli_section_is_accepted():

@@ -129,7 +129,7 @@ class TestEnumerate:
     def test_each_exactly_once_and_min_part(self):
         seen = list(enumerate_partitions(12, 3))
         assert len(seen) == len(set(seen))
-        assert all(p.min_part() >= 3 for p in seen if p.parts)
+        assert all(min(p.parts) >= 3 for p in seen if p.parts)
         assert all(p.weight() == 12 for p in seen)
 
 
