@@ -36,7 +36,6 @@ from .partition import (
     Partition,
     check_mu0_n,
     companion_mu_prime,
-    format_partition,
     make_partition,
     theorem_form_of,
     theorem_form_reason,
@@ -107,25 +106,15 @@ def sum_B_bruteforce(mu0: Partition, n: int) -> int:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Per-n evidence for 2*A(mu0)(n) = B(mu0')(n+2) over [n_lo, n_hi]."""
+    """Per-n evidence for 2*A(mu0)(n) = B(mu0')(n+2)."""
 
     mu0: Partition
     mu0_prime: Partition
-    n_lo: int
-    n_hi: int
     rows: tuple[tuple[int, int, int], ...]  # (n, A(n), B(n+2))
-    all_hold: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mu0": format_partition(self.mu0),
-            "mu0_prime": format_partition(self.mu0_prime),
-            "rows": [
-                {"n": n, "A": str(a), "B": str(b), "holds": 2 * a == b}
-                for n, a, b in self.rows
-            ],
-            "all_hold": self.all_hold,
-        }
+    @property
+    def all_hold(self) -> bool:
+        return all(2 * a == b for _, a, b in self.rows)
 
 
 def verify_theorem(mu0: Partition, n_lo: int, n_hi: int) -> VerificationReport:
@@ -136,12 +125,5 @@ def verify_theorem(mu0: Partition, n_lo: int, n_hi: int) -> VerificationReport:
     if not mu0.weight() <= n_lo <= n_hi:
         raise ValueError(f"need |mu0| <= n_lo <= n_hi, got {mu0.weight()}, {n_lo}, {n_hi}")
     mu0p = companion_mu_prime(form)
-    rows = []
-    all_hold = True
-    for n in range(n_lo, n_hi + 1):
-        a = sum_A(mu0, n)
-        b = sum_B(mu0p, n + 2)
-        rows.append((n, a, b))
-        if 2 * a != b:
-            all_hold = False
-    return VerificationReport(mu0, mu0p, n_lo, n_hi, tuple(rows), all_hold)
+    rows = tuple((n, sum_A(mu0, n), sum_B(mu0p, n + 2)) for n in range(n_lo, n_hi + 1))
+    return VerificationReport(mu0, mu0p, rows)

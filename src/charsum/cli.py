@@ -1,7 +1,9 @@
 """Command-line front end: char, sum, verify, search, fit, oeis.
 
-Outputs are deterministic given flags and fixtures.  Big integers are always
-printed as decimal strings in JSON so consumers never overflow.  Exit codes:
+This module alone renders stdout, in every format; the library returns plain
+values.  Outputs are deterministic given flags and fixtures.  Big integers are
+always printed as decimal strings in JSON so consumers never overflow.  Exit
+codes:
 
   0    success (for verify: every n in the range holds)
   1    verify ran and the identity failed for some n
@@ -12,7 +14,8 @@ printed as decimal strings in JSON so consumers never overflow.  Exit codes:
   4    internal cross-check mismatch (sum --mode both, char --check-all,
        or a value breaking an identity the maths guarantees, in any command)
   5    search parameters out of range (K < 2, window < 4)
-  7    OEIS lookup failures (network disabled/unreachable, malformed response)
+  7    OEIS lookup failures (network disabled/unreachable, malformed response,
+       a cache directory that cannot hold the reply)
   141  stdout was closed before the output was written (128 + SIGPIPE)
 
 Each command raises and ``main`` maps the exception to its code through
@@ -25,6 +28,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -211,37 +216,73 @@ def cmd_sum(args) -> int:
 
 def cmd_verify(args) -> int:
     report = verify_theorem(parse_partition(args.mu0), *_parse_range(args.n))
+    rows = [(n, a, b, 2 * a == b) for n, a, b in report.rows]
+    all_hold = all(holds for *_, holds in rows)
 
     if args.format == "json":
-        print(json.dumps(report.to_json_dict()))
+        print(
+            json.dumps(
+                {
+                    "mu0": format_partition(report.mu0),
+                    "mu0_prime": format_partition(report.mu0_prime),
+                    "rows": [
+                        {"n": n, "A": str(a), "B": str(b), "holds": holds}
+                        for n, a, b, holds in rows
+                    ],
+                    "all_hold": all_hold,
+                }
+            )
+        )
     elif args.format == "csv":
         print("n,A,B,holds")
-        for n, a, b in report.rows:
-            print(f"{n},{a},{b},{'true' if 2 * a == b else 'false'}")
+        for n, a, b, holds in rows:
+            print(f"{n},{a},{b},{'true' if holds else 'false'}")
     else:
         print(
             f"mu0={format_partition(report.mu0)} "
             f"mu0_prime={format_partition(report.mu0_prime)}"
         )
-        for n, a, b in report.rows:
-            holds = "yes" if 2 * a == b else "no"
-            print(f"n={n} A={a} B={b} holds={holds}")
-        print(f"all_hold={'yes' if report.all_hold else 'no'}")
-    return EXIT_OK if report.all_hold else EXIT_VERIFY_FAILED
+        for n, a, b, holds in rows:
+            print(f"n={n} A={a} B={b} holds={'yes' if holds else 'no'}")
+        print(f"all_hold={'yes' if all_hold else 'no'}")
+    return EXIT_OK if all_hold else EXIT_VERIFY_FAILED
+
+
+def _fraction(q: Fraction) -> str:
+    """An exact rational as JSON prints it: "p/q", also when q is 1."""
+    return f"{q.numerator}/{q.denominator}"
 
 
 def cmd_search(args) -> int:
     for pair in search_pairs(args.K, args.window):
-        print(json.dumps(pair.to_json_dict()))
+        print(
+            json.dumps(
+                {
+                    "mu0": format_partition(pair.mu0),
+                    "mu0_prime": format_partition(pair.mu0_prime),
+                    "ratio": _fraction(pair.ratio),
+                    "evidence_n": [pair.n_lo, pair.n_hi],
+                    "theorem_predicted": pair.theorem_predicted,
+                }
+            )
+        )
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
     mu0 = parse_partition(args.mu0)
     fn = fit_closed_form(mu0, args.family)
-    out = {"family": args.family, "mu0": format_partition(mu0), "n_lo": mu0.weight()}
-    out.update(fn.to_json_dict())
-    print(json.dumps(out))
+    print(
+        json.dumps(
+            {
+                "family": args.family,
+                "mu0": format_partition(mu0),
+                "n_lo": mu0.weight(),
+                "numerator": [_fraction(c) for c in fn.numerator],
+                "denominator": [_fraction(c) for c in fn.denominator],
+            }
+        )
+    )
     return EXIT_OK
 
 
@@ -256,7 +297,7 @@ def cmd_oeis(args) -> int:
             json.dumps(
                 {
                     "query": ",".join(str(v) for v in values),
-                    "matches": [m.to_json_dict() for m in matches],
+                    "matches": [asdict(m) for m in matches],
                 }
             )
         )

@@ -9,8 +9,7 @@ equal, and flags the pairs matching the odd-parts-plus-power-run
 construction.  ``fit_closed_form`` writes down the rational function R with
 family(n) = C(2n, n) * R(n) from the constant-term formula, each term being
 a product of linear factors in n, and checks it against the lemma at the
-D + 4 points n = |mu0| .. |mu0| + D + 3, D its degree.  Both run in one
-process.
+D + 4 points n = |mu0| .. |mu0| + D + 3, D its degree.
 """
 
 from __future__ import annotations
@@ -49,15 +48,6 @@ class TheoremPair:
     n_lo: int
     n_hi: int
     theorem_predicted: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mu0": format_partition(self.mu0),
-            "mu0_prime": format_partition(self.mu0_prime),
-            "ratio": f"{self.ratio.numerator}/{self.ratio.denominator}",
-            "evidence_n": [self.n_lo, self.n_hi],
-            "theorem_predicted": self.theorem_predicted,
-        }
 
 
 def ratio_test(
@@ -170,12 +160,6 @@ class RationalFn:
         if den == 0:
             raise ZeroDivisionError(f"denominator vanishes at n={n}")
         return num / den
-
-    def to_json_dict(self) -> dict:
-        def fmt(cs):
-            return [f"{c.numerator}/{c.denominator}" for c in cs]
-
-        return {"numerator": fmt(self.numerator), "denominator": fmt(self.denominator)}
 
 
 def _eval(cs, n: int):

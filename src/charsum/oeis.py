@@ -59,14 +59,6 @@ class OeisMatch:
     matched_offset: int  # index into the entry's data where the query aligns
     match_length: int  # number of consecutive query terms matched there
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sequence_id": self.sequence_id,
-            "name": self.name,
-            "matched_offset": self.matched_offset,
-            "match_length": self.match_length,
-        }
-
 
 def default_cache_dir() -> Path:
     env = os.environ.get("CHARSUM_OEIS_CACHE")
@@ -161,15 +153,13 @@ class OeisClient:
         A transport reply is cached only after it parses, so a bad reply (an
         error page, say) fails this lookup and the next one asks again.  A
         cache file that does not parse is a miss: the transport's reply,
-        once it parses, replaces it.
+        once it parses, replaces it.  A reply that cannot be cached (the
+        cache directory is a file, say) is an OeisError naming the file.
         """
         path = self.cache_path(query)
-        cached = _read_cache(path, values, warn=False)
-        if cached is not None:
-            return cached
         with self._lock:
-            # re-check under the lock: another thread may have just cached it
-            cached = _read_cache(path, values, warn=True)
+            # under the lock: a concurrent lookup of the query may have just cached it
+            cached = _read_cache(path, values)
             if cached is not None:
                 return cached
             wait = self._min_interval - (time.monotonic() - self._last_request)
@@ -178,24 +168,26 @@ class OeisClient:
             raw = self._transport(query)
             self._last_request = time.monotonic()
             matches = _parse_matches(raw, values)
-            _write_atomic(path, raw)
+            try:
+                _write_atomic(path, raw)
+            except OSError as exc:
+                raise OeisError(f"cannot write the cache file {path}: {exc}") from None
             return matches
 
 
-def _read_cache(path: Path, values: Sequence[int], warn: bool) -> Optional[list[OeisMatch]]:
+def _read_cache(path: Path, values: Sequence[int]) -> Optional[list[OeisMatch]]:
     """The matches in a cache file; None if it is absent or does not parse
-    (with a warning naming the file, if warn)."""
+    (with a warning naming the file)."""
     if not path.is_file():
         return None
     try:
         return _parse_matches(path.read_text(encoding="utf-8"), values)
     except (OeisParseError, UnicodeDecodeError) as exc:
-        if warn:
-            warnings.warn(
-                f"ignoring cache file {path} that does not parse: {exc}",
-                UnparsableCacheWarning,
-                stacklevel=4,  # the caller of OeisClient.lookup
-            )
+        warnings.warn(
+            f"ignoring cache file {path} that does not parse: {exc}",
+            UnparsableCacheWarning,
+            stacklevel=4,  # the caller of OeisClient.lookup
+        )
         return None
 
 
@@ -233,12 +225,11 @@ def _parse_matches(raw: str, values: Sequence[int]) -> list[OeisMatch]:
     for entry in entries:
         if not isinstance(entry, dict) or "number" not in entry:
             raise OeisParseError(f"unexpected entry shape: {str(entry)[:120]!r}")
-        try:
-            seq_id = "A%06d" % int(entry["number"])
-        except (TypeError, ValueError):
-            raise OeisParseError(
-                f"entry number is not an integer: {entry['number']!r:.120}"
-            ) from None
+        number = entry["number"]
+        # type(), not isinstance: JSON's true decodes to a bool, a subclass of int
+        if type(number) not in (int, str) or not str(number).isdecimal():
+            raise OeisParseError(f"entry number is not an integer >= 0: {number!r:.120}")
+        seq_id = "A%06d" % int(number)
         name = str(entry.get("name", ""))
         data = _parse_data_terms(entry.get("data", ""))
         offset, length = _best_alignment(data, list(values))
@@ -246,16 +237,11 @@ def _parse_matches(raw: str, values: Sequence[int]) -> list[OeisMatch]:
     return matches
 
 
-def _parse_data_terms(data: str) -> list[int]:
-    terms = []
-    for token in str(data).split(","):
-        token = token.strip()
-        if token:
-            try:
-                terms.append(int(token))
-            except ValueError:
-                return terms
-    return terms
+def _parse_data_terms(data) -> list[int]:
+    try:
+        return [int(token) for token in str(data).split(",") if token.strip()]
+    except ValueError:
+        raise OeisParseError(f"entry data is not a list of integers: {str(data)[:120]!r}") from None
 
 
 def _best_alignment(data: list[int], query: list[int]) -> tuple[int, int]:

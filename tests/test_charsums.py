@@ -178,19 +178,6 @@ class TestVerifyTheorem:
         with pytest.raises(ValueError):
             verify_theorem(make_partition([3]), 10, 3)
 
-    def test_json_shape(self):
-        d = verify_theorem(make_partition([3]), 3, 4).to_json_dict()
-        assert d == {
-            "mu0": "3",
-            "mu0_prime": "3,2",
-            "rows": [
-                {"n": 3, "A": "2", "B": "4", "holds": True},
-                {"n": 4, "A": "2", "B": "4", "holds": True},
-            ],
-            "all_hold": True,
-        }
-        assert all(isinstance(r["A"], str) for r in d["rows"])
-
 
 class TestInternalConsistency:
     def test_error_type_is_distinct(self):

@@ -1,6 +1,8 @@
 """CLI: golden outputs, exit codes, and schema-valid JSON."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -12,10 +14,14 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import charsum
+from charsum import cli
 from charsum.cli import build_parser, main
 from charsum.oeis import OeisClient, UnparsableCacheWarning
+from charsum.partition import enumerate_partitions, format_partition, theorem_form_of
 
 CENTRAL_BINOMIAL_RESPONSE = json.dumps(
     {
@@ -207,6 +213,44 @@ class TestVerifyCommand:
         )
         jsonschema.validate(json.loads(out), load_schema("verify_report.v1.json"))
 
+    def test_json_golden_for_the_smallest_pair(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--mu0", "3", "--n", "3..4", "--format", "json"])
+        assert code == 0
+        assert out == (
+            '{"mu0": "3", "mu0_prime": "3,2", "rows": '
+            '[{"n": 3, "A": "2", "B": "4", "holds": true}, '
+            '{"n": 4, "A": "2", "B": "4", "holds": true}], "all_hold": true}\n'
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mu0=st.sampled_from(
+            [p for w in range(11) for p in enumerate_partitions(w, 2) if theorem_form_of(p)]
+        ),
+        start=st.integers(0, 6),
+        length=st.integers(1, 5),
+    )
+    def test_every_format_gives_the_same_rows(self, mu0, start, length):
+        n_range = f"{mu0.weight() + start}..{mu0.weight() + start + length - 1}"
+        outs = {}
+        for fmt in ("plain", "csv", "json"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["verify", "--mu0", format_partition(mu0), "--n", n_range, "--format", fmt]) == 0
+            outs[fmt] = out.getvalue()
+        plain = [
+            (int(n), int(a), int(b), holds == "yes")
+            for n, a, b, holds in re.findall(r"^n=(\d+) A=(\d+) B=(\d+) holds=(yes|no)$", outs["plain"], re.M)
+        ]
+        csv = [
+            (int(n), int(a), int(b), holds == "true")
+            for n, a, b, holds in (line.split(",") for line in outs["csv"].splitlines()[1:])
+        ]
+        report = json.loads(outs["json"])
+        rows = [(r["n"], int(r["A"]), int(r["B"]), r["holds"]) for r in report["rows"]]
+        assert len(rows) == length and plain == csv == rows
+        assert outs["plain"].endswith("all_hold=yes\n") and report["all_hold"] is True
+
     def test_csv_golden(self, capsys):
         code, out, _ = run(
             capsys, ["verify", "--mu0", "3", "--n", "3..5", "--format", "csv"]
@@ -333,9 +377,11 @@ class TestOeisCommand:
         "response",
         [
             json.dumps({"results": [{"number": "A984"}]}),
+            json.dumps({"results": [{"number": -5}]}),
+            json.dumps({"results": [{"number": 984, "data": "1,2,x,6"}]}),
             json.dumps({"results": 5}),
         ],
-        ids=["non-integer number", "non-list results"],
+        ids=["non-integer number", "negative number", "non-integer data", "non-list results"],
     )
     def test_malformed_cached_response_exits_7(self, capsys, tmp_path, response):
         OeisClient(cache_dir=tmp_path).seed_cache("1,2,6,20,70,252", response)
@@ -361,6 +407,16 @@ class TestOeisCommand:
             code, _, err = run(capsys, ["oeis", "1,2,6,20,70,252"])
         assert code == 7
         assert "disabled" in err
+
+    def test_cache_dir_that_is_a_file_exits_7(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "live_transport", lambda query: CENTRAL_BINOMIAL_RESPONSE)
+        not_a_dir = tmp_path / "cache"
+        not_a_dir.write_text("")
+        code, out, err = run(
+            capsys, ["oeis", "1,2,6,20,70,252", "--live", "--cache-dir", str(not_a_dir)]
+        )
+        assert (code, out) == (7, "")
+        assert err.startswith(f"error: cannot write the cache file {not_a_dir}") and err.count("\n") == 1
 
     def test_malformed_values_exit_2(self, capsys):
         code, _, err = run(capsys, ["oeis", "1,2,foo,4,5,6"])

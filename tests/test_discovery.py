@@ -135,16 +135,6 @@ class TestSearchPairs:
         assert got == expected
         assert (make_partition([14]), make_partition([14, 2]), HALF, 14) in got
 
-    def test_json_line_shape(self):
-        pair = search_pairs(2, 6)[0]
-        assert pair.to_json_dict() == {
-            "mu0": "",
-            "mu0_prime": "2",
-            "ratio": "1/2",
-            "evidence_n": [0, 6],
-            "theorem_predicted": True,
-        }
-
 
 class TestFitClosedForm:
     def test_identity_class_two_row_sum_is_catalan(self):
@@ -195,13 +185,6 @@ class TestFitClosedForm:
         with pytest.raises(ValueError, match="smallest part"):
             fit_closed_form(make_partition(parts), "A")
         assert main(["fit", "--family", "A", "--mu0", ",".join(map(str, parts))]) == 3
-
-    def test_json_shape(self):
-        fn = fit_closed_form(Partition(), "A")
-        assert fn.to_json_dict() == {
-            "numerator": ["1/1"],
-            "denominator": ["1/1", "1/1"],
-        }
 
     @pytest.mark.parametrize(
         "family, mu0_text, stdout", FIT_GOLDENS, ids=[f"{f}-{m or 'empty'}" for f, m, _ in FIT_GOLDENS]

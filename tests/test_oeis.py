@@ -190,11 +190,19 @@ class TestFailures:
 
 
     def test_non_integer_number_is_parse_error(self, tmp_path):
-        bad = json.dumps({"results": [{"number": "A984", "data": "1,2,6"}]})
-        transport = RecordingTransport({"1,2,3,4,5,6": bad})
-        c = OeisClient(transport=transport, cache_dir=tmp_path, min_interval=0.0)
-        with pytest.raises(OeisParseError, match="not an integer"):
-            c.lookup([1, 2, 3, 4, 5, 6])
+        entries = [
+            ({"number": "A984", "data": "1,2,6"}, "number is not an integer"),
+            ({"number": True, "data": "1,2,6"}, "number is not an integer"),
+            ({"number": 1.5, "data": "1,2,6"}, "number is not an integer"),
+            ({"number": -5, "data": "1,2,6"}, "number is not an integer"),
+            ({"number": 984, "data": "1,2,x,6"}, "data is not a list of integers"),
+        ]
+        for entry, message in entries:
+            transport = RecordingTransport({"1,2,3,4,5,6": json.dumps({"results": [entry]})})
+            c = OeisClient(transport=transport, cache_dir=tmp_path, min_interval=0.0)
+            with pytest.raises(OeisParseError, match=message):
+                c.lookup([1, 2, 3, 4, 5, 6])
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "results", [5, {"number": 984}, "1,2,3"], ids=["number", "object", "string"]
