@@ -46,19 +46,19 @@ def _check_weights(lmbda: Partition, mu: Partition) -> None:
         )
 
 
-def char_ct(lmbda: Partition, mu: Partition, max_rows: int = DEFAULT_ROW_CAP) -> int:
+def char_ct(lmbda: Partition, mu: Partition) -> int:
     """Character value by expanding the constant-term product exactly.
 
     Expands prod_{i<j} (1 - x_j/x_i) times prod_k (sum_i x_i^{mu_k}) with one
     variable per row of lmbda and reads the coefficient of the exponent
     vector (lmbda_1, ..., lmbda_m).  Term count grows quickly with the row
-    count, hence the cap.
+    count, hence the cap of DEFAULT_ROW_CAP rows.
     """
     _check_weights(lmbda, mu)
     m = len(lmbda)
-    if m > max_rows:
+    if m > DEFAULT_ROW_CAP:
         raise RowCapExceeded(
-            f"lambda has {m} rows, cap is {max_rows}; use char_mn instead"
+            f"lambda has {m} rows, cap is {DEFAULT_ROW_CAP}; use char_mn instead"
         )
     target = lmbda.parts
     # {exponent vector: coefficient}; each 1 - x_j/x_i keeps a term or moves

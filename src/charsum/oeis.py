@@ -4,7 +4,9 @@ The transport is injectable so tests (and offline use) run against recorded
 fixtures; live HTTP is opt-in.  Responses that parse are cached on disk,
 written atomically and keyed by a hash of the query string, and the cache is
 always consulted before the transport, so a repeated query performs zero
-network operations.  Live requests are serialized and rate-limited.
+network operations.  Each ``OeisClient`` serializes its live requests and
+spaces them LIVE_REQUEST_INTERVAL seconds apart; a CLI run makes at most one
+request, so it never waits.
 """
 
 from __future__ import annotations
@@ -99,11 +101,9 @@ class OeisClient:
         self,
         transport: Optional[Transport] = None,
         cache_dir: Optional[Path] = None,
-        min_interval: float = LIVE_REQUEST_INTERVAL,
     ):
         self._transport = transport if transport is not None else offline_transport
         self.cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-        self._min_interval = min_interval
         self._lock = threading.Lock()
         self._last_request = 0.0
 
@@ -162,7 +162,7 @@ class OeisClient:
             cached = _read_cache(path, values)
             if cached is not None:
                 return cached
-            wait = self._min_interval - (time.monotonic() - self._last_request)
+            wait = LIVE_REQUEST_INTERVAL - (time.monotonic() - self._last_request)
             if wait > 0 and self._last_request > 0:
                 time.sleep(wait)
             raw = self._transport(query)
@@ -248,18 +248,10 @@ def _best_alignment(data: list[int], query: list[int]) -> tuple[int, int]:
     """Longest contiguous run of query terms inside data: (offset, length).
 
     Offset is the data index where the best run starts; (-1, 0) when no term
-    aligns at all.
+    aligns at all.  Ties go to the earliest run in data.
     """
-    best_off, best_len = -1, 0
-    for d0 in range(len(data)):
-        for q0 in range(len(query)):
-            length = 0
-            while (
-                d0 + length < len(data)
-                and q0 + length < len(query)
-                and data[d0 + length] == query[q0 + length]
-            ):
-                length += 1
-            if length > best_len:
-                best_off, best_len = d0, length
-    return best_off, best_len
+    import difflib  # imported here: a CLI start that never looks up skips it
+
+    # autojunk=False: by default a query of 200+ terms would treat its frequent terms as junk
+    match = difflib.SequenceMatcher(None, data, query, autojunk=False).find_longest_match()
+    return (match.a, match.size) if match.size else (-1, 0)

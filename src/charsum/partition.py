@@ -74,18 +74,6 @@ class TheoremForm:
     odd_parts: tuple[int, ...]
     t: int
 
-    def __post_init__(self):
-        for a in self.odd_parts:
-            if a % 2 == 0 or a < 3:
-                raise ValueError(f"odd_parts must be odd and >= 3, got {a}")
-        if self.t < 1:
-            raise ValueError("t must be >= 1")
-
-    def reassemble(self) -> Partition:
-        """The source partition: Sort(odd_parts + [2, 4, ..., 2^(t-1)])."""
-        run = [2**j for j in range(1, self.t)]
-        return make_partition(list(self.odd_parts) + run)
-
 
 def make_partition(raw: Iterable[int]) -> Partition:
     """Sort arbitrary positive integers into a partition (non-increasing)."""

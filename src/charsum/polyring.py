@@ -49,9 +49,6 @@ class IntPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)})"
 

@@ -38,21 +38,23 @@ class TestCharCt:
         with pytest.raises(ValueError, match="weight mismatch"):
             char_ct(make_partition([2, 1]), make_partition([4]))
 
-    def test_row_cap(self):
+    def test_row_cap(self, monkeypatch):
         lam = make_partition([1, 1, 1, 1, 1])
         mu = make_partition([5])
         with pytest.raises(RowCapExceeded, match="char_mn"):
             char_ct(lam, mu)
-        # configurable cap admits it
-        assert char_ct(lam, mu, max_rows=5) == char_mn(lam, mu)
+        # the cap is read at call time, so a raised cap admits it
+        monkeypatch.setattr("charsum.characters.DEFAULT_ROW_CAP", 5)
+        assert char_ct(lam, mu) == char_mn(lam, mu)
 
-    def test_sign_character_cancels_to_one_term(self):
+    def test_sign_character_cancels_to_one_term(self, monkeypatch):
         # the difference factors of 1^m expand to many terms that must cancel
         # down to the single value (-1)^(number of 2s)
+        monkeypatch.setattr("charsum.characters.DEFAULT_ROW_CAP", 6)
         for twos in range(4):
             lam = make_partition([1] * 6)
             mu = make_partition([2] * twos + [1] * (6 - 2 * twos))
-            assert char_ct(lam, mu, max_rows=6) == (-1) ** twos
+            assert char_ct(lam, mu) == (-1) ** twos
 
 
 class TestCharMn:

@@ -99,7 +99,7 @@ class TestCharCommand:
         jsonschema.validate(json.loads(out), load_schema("char_result.v1.json"))
 
     def test_check_all_disagreement_exits_4(self, capsys, monkeypatch):
-        monkeypatch.setattr("charsum.cli.char_ct", lambda lam, mu, max_rows=4: 999)
+        monkeypatch.setattr("charsum.cli.char_ct", lambda lam, mu: 999)
         code, out, _ = run(
             capsys, ["char", "--lambda", "3,1", "--mu", "2,2", "--check-all"]
         )
@@ -339,6 +339,17 @@ class TestFitCommand:
         jsonschema.validate(json.loads(out), load_schema("fit_result.v1.json"))
 
 
+# (reply, the parse problem it names)
+MALFORMED_RESPONSES = [
+    pytest.param({"results": [{"number": "A984"}]}, "number is not an integer", id="non-integer number"),
+    pytest.param({"results": [{"number": -5}]}, "number is not an integer", id="negative number"),
+    pytest.param(
+        {"results": [{"number": 984, "data": "1,2,x,6"}]}, "data is not a list of integers", id="non-integer data"
+    ),
+    pytest.param({"results": 5}, "results is not a list", id="non-list results"),
+]
+
+
 class TestOeisCommand:
     def test_plain_golden_from_fixture(self, capsys, oeis_cache):
         code, out, _ = run(capsys, ["oeis", "1,2,6,20,70,252"])
@@ -373,21 +384,25 @@ class TestOeisCommand:
         assert code == 3
         assert "at least 6" in err
 
-    @pytest.mark.parametrize(
-        "response",
-        [
-            json.dumps({"results": [{"number": "A984"}]}),
-            json.dumps({"results": [{"number": -5}]}),
-            json.dumps({"results": [{"number": 984, "data": "1,2,x,6"}]}),
-            json.dumps({"results": 5}),
-        ],
-        ids=["non-integer number", "negative number", "non-integer data", "non-list results"],
-    )
-    def test_malformed_cached_response_exits_7(self, capsys, tmp_path, response):
-        OeisClient(cache_dir=tmp_path).seed_cache("1,2,6,20,70,252", response)
-        code, _, err = run(capsys, ["oeis", "1,2,6,20,70,252", "--cache-dir", str(tmp_path)])
+    @pytest.mark.parametrize("response,problem", MALFORMED_RESPONSES)
+    def test_malformed_cached_response_exits_7(self, capsys, tmp_path, response, problem):
+        # a cache file that does not parse is a miss, so the offline lookup fails
+        path = OeisClient(cache_dir=tmp_path).seed_cache("1,2,6,20,70,252", json.dumps(response))
+        with pytest.warns(UnparsableCacheWarning, match=path.name) as record:
+            code, _, err = run(capsys, ["oeis", "1,2,6,20,70,252", "--cache-dir", str(tmp_path)])
+        assert problem in str(record[0].message)
         assert code == 7
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and "disabled" in err
+
+    @pytest.mark.parametrize("response,problem", MALFORMED_RESPONSES)
+    def test_malformed_live_response_exits_7(self, capsys, tmp_path, monkeypatch, response, problem):
+        monkeypatch.setattr(cli, "live_transport", lambda query: json.dumps(response))
+        code, out, err = run(
+            capsys, ["oeis", "1,2,6,20,70,252", "--live", "--cache-dir", str(tmp_path)]
+        )
+        assert (code, out) == (7, "")
+        assert err.startswith("error: ") and problem in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["0", "-1", "two"])
     def test_bad_max_results_is_a_usage_error(self, capsys, oeis_cache, value):

@@ -4,8 +4,12 @@ import json
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from charsum import oeis
 from charsum.oeis import (
+    LIVE_REQUEST_INTERVAL,
     LowInformationQueryWarning,
     OeisClient,
     OeisMatch,
@@ -13,6 +17,7 @@ from charsum.oeis import (
     OeisParseError,
     QueryTruncationWarning,
     UnparsableCacheWarning,
+    _best_alignment,
     cache_key,
     offline_transport,
 )
@@ -54,10 +59,33 @@ class RecordingTransport:
         return self.responses[query]
 
 
+class FakeClock:
+    """Stands in for the ``time`` module in charsum.oeis: sleeping advances
+    the clock at once and is recorded."""
+
+    def __init__(self, now):
+        self.now = now
+        self.sleeps = []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = FakeClock(now=1.0)
+    monkeypatch.setattr(oeis, "time", fake)
+    return fake
+
+
 @pytest.fixture
 def client(tmp_path):
     transport = RecordingTransport({"1,2,6,20,70,252": CENTRAL_BINOMIAL_RESPONSE})
-    return OeisClient(transport=transport, cache_dir=tmp_path, min_interval=0.0)
+    return OeisClient(transport=transport, cache_dir=tmp_path)
 
 
 class TestLookup:
@@ -96,14 +124,14 @@ class TestLookup:
         empty = json.dumps({"count": 0, "results": None})
         values = [10**39 + i for i in range(6)]
         transport = RecordingTransport({",".join(map(str, values)): empty})
-        c = OeisClient(transport=transport, cache_dir=tmp_path, min_interval=0.0)
+        c = OeisClient(transport=transport, cache_dir=tmp_path)
         assert c.lookup(values) == []
 
     def test_all_zero_query_warns_low_information(self, tmp_path):
         transport = RecordingTransport(
             {"0,0,0,0,0,0": json.dumps({"count": 0, "results": []})}
         )
-        c = OeisClient(transport=transport, cache_dir=tmp_path, min_interval=0.0)
+        c = OeisClient(transport=transport, cache_dir=tmp_path)
         with pytest.warns(LowInformationQueryWarning):
             c.lookup([0, 0, 0, 0, 0, 0])
 
@@ -112,10 +140,35 @@ class TestLookup:
         transport = RecordingTransport(
             {",".join(map(str, first12)): json.dumps({"count": 0, "results": []})}
         )
-        c = OeisClient(transport=transport, cache_dir=tmp_path, min_interval=0.0)
+        c = OeisClient(transport=transport, cache_dir=tmp_path)
         with pytest.warns(QueryTruncationWarning):
             c.lookup(list(range(1, 20)))
         assert transport.calls == [",".join(map(str, first12))]
+
+
+class TestAlignment:
+    @staticmethod
+    def longest_run(data, query):
+        """Every (data, query) start pair; the first longest run wins."""
+        best = (-1, 0)
+        for d0 in range(len(data)):
+            for q0 in range(len(query)):
+                k = 0
+                while d0 + k < len(data) and q0 + k < len(query) and data[d0 + k] == query[q0 + k]:
+                    k += 1
+                if k > best[1]:
+                    best = (d0, k)
+        return best
+
+    @given(
+        st.lists(st.integers(0, 3), max_size=40),
+        st.lists(st.integers(0, 3), max_size=12),
+    )
+    def test_first_longest_run_in_data(self, data, query):
+        assert _best_alignment(data, query) == self.longest_run(data, query)
+
+    def test_frequent_terms_of_a_long_query_still_align(self):
+        assert _best_alignment([5, 0, 0, 0], [0] * 200 + [5]) == (1, 3)
 
 
 class TestCache:
@@ -129,7 +182,7 @@ class TestCache:
     def test_fixture_runs_are_byte_identical(self, tmp_path):
         results = []
         for _ in range(2):
-            c = OeisClient(cache_dir=tmp_path, min_interval=0.0)
+            c = OeisClient(cache_dir=tmp_path)
             c.seed_cache("1,2,6,20,70,252", CENTRAL_BINOMIAL_RESPONSE)
             results.append(c.lookup(CENTRAL_BINOMIAL_QUERY))
         assert results[0] == results[1]
@@ -141,13 +194,13 @@ class TestCache:
         assert expected.read_text() == CENTRAL_BINOMIAL_RESPONSE
 
     def test_seeded_cache_makes_offline_lookup_work(self, tmp_path):
-        c = OeisClient(cache_dir=tmp_path, min_interval=0.0)  # offline transport
+        c = OeisClient(cache_dir=tmp_path)  # offline transport
         c.seed_cache("1,2,6,20,70,252", CENTRAL_BINOMIAL_RESPONSE)
         assert c.lookup(CENTRAL_BINOMIAL_QUERY)[0].sequence_id == "A000984"
 
     def test_concurrent_lookups_share_one_fetch(self, tmp_path):
         transport = RecordingTransport({"1,2,6,20,70,252": CENTRAL_BINOMIAL_RESPONSE})
-        c = OeisClient(transport=transport, cache_dir=tmp_path, min_interval=0.0)
+        c = OeisClient(transport=transport, cache_dir=tmp_path)
         threads = [
             threading.Thread(target=c.lookup, args=(CENTRAL_BINOMIAL_QUERY,))
             for _ in range(4)
@@ -157,6 +210,26 @@ class TestCache:
         for t in threads:
             t.join()
         assert len(transport.calls) == 1
+
+
+class TestRateLimit:
+    def test_requests_on_one_client_are_spaced(self, tmp_path, clock):
+        other = [2, 3, 5, 7, 11, 13]
+        transport = RecordingTransport(
+            {
+                "1,2,6,20,70,252": CENTRAL_BINOMIAL_RESPONSE,
+                "2,3,5,7,11,13": json.dumps({"results": []}),
+            }
+        )
+        c = OeisClient(transport=transport, cache_dir=tmp_path)
+        c.lookup(CENTRAL_BINOMIAL_QUERY)
+        assert clock.sleeps == []  # the first request does not wait
+        clock.now += 0.5
+        c.lookup(other)
+        assert clock.sleeps == [LIVE_REQUEST_INTERVAL - 0.5]
+        c.lookup(CENTRAL_BINOMIAL_QUERY)  # a cache hit does not wait
+        assert clock.sleeps == [LIVE_REQUEST_INTERVAL - 0.5]
+        assert transport.calls == ["1,2,6,20,70,252", "2,3,5,7,11,13"]
 
 
 class TestFailures:
@@ -171,20 +244,20 @@ class TestFailures:
 
     def test_malformed_response_carries_snippet(self, tmp_path):
         transport = RecordingTransport({"1,2,3,4,5,6": "<html>not json</html>"})
-        c = OeisClient(transport=transport, cache_dir=tmp_path, min_interval=0.0)
+        c = OeisClient(transport=transport, cache_dir=tmp_path)
         with pytest.raises(OeisParseError, match="not json"):
             c.lookup([1, 2, 3, 4, 5, 6])
 
     def test_wrong_shape_response(self, tmp_path):
         transport = RecordingTransport({"1,2,3,4,5,6": json.dumps("just a string")})
-        c = OeisClient(transport=transport, cache_dir=tmp_path, min_interval=0.0)
+        c = OeisClient(transport=transport, cache_dir=tmp_path)
         with pytest.raises(OeisParseError, match="unexpected response shape"):
             c.lookup([1, 2, 3, 4, 5, 6])
 
     def test_entry_without_number_is_parse_error(self, tmp_path):
         bad = json.dumps({"results": [{"name": "missing number"}]})
         transport = RecordingTransport({"1,2,3,4,5,6": bad})
-        c = OeisClient(transport=transport, cache_dir=tmp_path, min_interval=0.0)
+        c = OeisClient(transport=transport, cache_dir=tmp_path)
         with pytest.raises(OeisParseError, match="entry"):
             c.lookup([1, 2, 3, 4, 5, 6])
 
@@ -199,7 +272,7 @@ class TestFailures:
         ]
         for entry, message in entries:
             transport = RecordingTransport({"1,2,3,4,5,6": json.dumps({"results": [entry]})})
-            c = OeisClient(transport=transport, cache_dir=tmp_path, min_interval=0.0)
+            c = OeisClient(transport=transport, cache_dir=tmp_path)
             with pytest.raises(OeisParseError, match=message):
                 c.lookup([1, 2, 3, 4, 5, 6])
         assert list(tmp_path.iterdir()) == []
@@ -209,24 +282,25 @@ class TestFailures:
     )
     def test_non_list_results_is_parse_error(self, tmp_path, results):
         transport = RecordingTransport({"1,2,3,4,5,6": json.dumps({"results": results})})
-        c = OeisClient(transport=transport, cache_dir=tmp_path, min_interval=0.0)
+        c = OeisClient(transport=transport, cache_dir=tmp_path)
         with pytest.raises(OeisParseError, match="results is not a list"):
             c.lookup([1, 2, 3, 4, 5, 6])
 
-    def test_reply_that_does_not_parse_is_not_cached(self, tmp_path):
+    def test_reply_that_does_not_parse_is_not_cached(self, tmp_path, clock):
         replies = iter(["<html>503</html>", CENTRAL_BINOMIAL_RESPONSE])
-        c = OeisClient(transport=lambda q: next(replies), cache_dir=tmp_path, min_interval=0.0)
+        c = OeisClient(transport=lambda q: next(replies), cache_dir=tmp_path)
         with pytest.raises(OeisParseError, match="not JSON"):
             c.lookup(CENTRAL_BINOMIAL_QUERY)
         assert list(tmp_path.iterdir()) == []
         assert c.lookup(CENTRAL_BINOMIAL_QUERY)[0].sequence_id == "A000984"
+        assert clock.sleeps == [LIVE_REQUEST_INTERVAL]  # the bad reply was a request too
         # only the parsed reply, and no temporary file beside it
         assert list(tmp_path.iterdir()) == [c.cache_path("1,2,6,20,70,252")]
 
 
     def test_cache_file_that_does_not_parse_is_a_miss(self, tmp_path):
         transport = RecordingTransport({"1,2,6,20,70,252": CENTRAL_BINOMIAL_RESPONSE})
-        c = OeisClient(transport=transport, cache_dir=tmp_path, min_interval=0.0)
+        c = OeisClient(transport=transport, cache_dir=tmp_path)
         path = c.seed_cache("1,2,6,20,70,252", "<html>503</html>")
         with pytest.warns(UnparsableCacheWarning, match=path.name) as record:
             assert c.lookup(CENTRAL_BINOMIAL_QUERY)[0].sequence_id == "A000984"
@@ -238,7 +312,7 @@ class TestFailures:
         assert len(transport.calls) == 1
 
     def test_cache_file_that_does_not_parse_stays_if_the_reply_fails(self, tmp_path):
-        c = OeisClient(cache_dir=tmp_path, min_interval=0.0)  # offline transport
+        c = OeisClient(cache_dir=tmp_path)  # offline transport
         path = c.seed_cache("1,2,6,20,70,252", "<html>503</html>")
         with pytest.warns(UnparsableCacheWarning), pytest.raises(OeisNetworkError):
             c.lookup(CENTRAL_BINOMIAL_QUERY)
@@ -257,5 +331,5 @@ class TestEnvironment:
             [{"number": 984, "data": "1,2,6,20,70,252", "name": "Central binomials."}]
         )
         transport = RecordingTransport({"1,2,6,20,70,252": payload})
-        c = OeisClient(transport=transport, cache_dir=tmp_path, min_interval=0.0)
+        c = OeisClient(transport=transport, cache_dir=tmp_path)
         assert c.lookup(CENTRAL_BINOMIAL_QUERY)[0].sequence_id == "A000984"
