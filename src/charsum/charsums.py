@@ -12,9 +12,9 @@ counts each character twice, because the two-row polynomial P has
 c_j = -c_{n+1-j}; hence its divisor 2.  Since (1+x)^e is its own reversal,
 each norm is one coefficient of (1+x)^(2e) * f(x) f~(x) with f = T or U.
 That small polynomial f f~ is palindromic of degree 2 deg f, built once per
-(family, mu0) and cached; ``FAMILIES`` holds each family's other constants,
-and ``polyring.binomial_convolution``, shared with ``char_two_row``, is the
-kernel.
+(family, mu0) and cached; ``FAMILIES`` holds each family's factor, shift and
+divisor, and ``polyring.binomial_convolution``, shared with ``char_two_row``,
+is the kernel.  ``exact_ratio`` derives and checks R(n) = family(n) / C(2n, n).
 
 When 2n-2-2*sum(a) < 0 (exactly the n = |mu0| edge) the binomial factor is
 read as a formal power series; the generalized binomial coefficients keep
@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
+from typing import Optional
 
 from .characters import char_mn, hook_factor, padded_class, two_row_factor
 from .partition import (
@@ -40,7 +42,7 @@ from .partition import (
     theorem_form_of,
     theorem_form_reason,
 )
-from .polyring import IntPoly, binomial_convolution
+from .polyring import IntPoly, binomial_convolution, horner
 
 
 class InternalConsistencyError(RuntimeError):
@@ -51,24 +53,31 @@ class InternalConsistencyError(RuntimeError):
 # with K = 16 touches about 600.
 SMALL_POLY_CACHE_SIZE = 1024
 
-# family -> (h - |mu0|, divisor): with m = n - h and small(x) = f(x) f~(x),
-# the family's sum at n is [x^(m + deg f)] (1+x)^(2m) small(x) / divisor.
-FAMILIES = {"A": (0, 2), "B": (1, 1)}
+# family -> (factor, h - |mu0|, divisor): with m = n - h, f = factor(mu0) and small(x) =
+# f(x) f~(x), the family's sum at n is [x^(m + deg f)] (1+x)^(2m) small(x) / divisor.
+FAMILIES = {"A": (two_row_factor, 0, 2), "B": (hook_factor, 1, 1)}
 
 
 @lru_cache(maxsize=SMALL_POLY_CACHE_SIZE)
 def _small_poly(family: str, parts: tuple[int, ...]) -> tuple[int, ...]:
     """Coefficients of f(x) f~(x), f the character factor of family A or B for mu0."""
-    f = (two_row_factor if family == "A" else hook_factor)(parts)
+    f = FAMILIES[family][0](parts)
     return (IntPoly(f) * IntPoly(reversed(f))).coeffs
+
+
+def _family(family: str, mu0: Partition) -> tuple[int, int, tuple[int, ...]]:
+    """(h, divisor, small) of ``FAMILIES`` for the family at mu0."""
+    if family not in FAMILIES:
+        raise ValueError(f"family must be 'A' or 'B', got {family!r}")
+    _, shift, divisor = FAMILIES[family]
+    return mu0.weight() + shift, divisor, _small_poly(family, mu0.parts)
 
 
 def _family_sum(family: str, mu0: Partition, n: int) -> int:
     """The family's sum at n, checked to be a non-negative integer."""
     check_mu0_n(mu0, n)
-    dh, divisor = FAMILIES[family]
-    m = n - mu0.weight() - dh
-    small = _small_poly(family, mu0.parts)
+    h, divisor, small = _family(family, mu0)
+    m = n - h
     c = binomial_convolution(small, 2 * m, m + len(small) // 2)
     value, rem = divmod(c, divisor)
     if rem != 0 or value < 0:
@@ -127,3 +136,77 @@ def verify_theorem(mu0: Partition, n_lo: int, n_hi: int) -> VerificationReport:
     mu0p = companion_mu_prime(form)
     rows = tuple((n, sum_A(mu0, n), sum_B(mu0p, n + 2)) for n in range(n_lo, n_hi + 1))
     return VerificationReport(mu0, mu0p, rows)
+
+
+def _divide_linear(cs: tuple[int, ...], a: int, b: int) -> Optional[list[int]]:
+    """The integer quotient of sum cs[k] n^k by a*n + b, or None if it leaves a
+    remainder.  With gcd(a, b) = 1, Gauss's lemma makes every step an exact
+    integer division whenever a*n + b divides the polynomial over Q.
+    """
+    q = [0] * (len(cs) - 1)
+    carry = cs[-1]
+    for k in range(len(cs) - 2, -1, -1):
+        q[k], rem = divmod(carry, a)
+        if rem:
+            return None
+        carry = cs[k] - b * q[k]
+    return q if carry == 0 else None
+
+
+def exact_ratio(family: str, mu0: Partition) -> tuple[IntPoly, IntPoly]:
+    """R(n) = family(mu0)(n) / C(2n, n) as (numerator, denominator) in lowest terms.
+
+    With h, the divisor and small(x) from ``_family`` and m = n - h, the
+    family is sum_j c_j C(2m, m + s_j) / divisor over the coefficients c_j of
+    small(x), where s_j = top - j and top = deg small / 2.  small is
+    palindromic, so the terms at s and -s are equal.  Over C(2n, n) each term
+    is a product of linear factors in n:
+
+      C(2m, m) / C(2n, n)     = prod_{t=0..h-1} (n - t) / (2 (2(n - t) - 1))
+      C(2m, m + s) / C(2m, m) = prod_{i=1..|s|} (m - i + 1) / (m + i)
+
+    so over the common denominator
+    divisor * 2^h prod_t (2n - 2t - 1) prod_{i<=top} (m + i),
+    numerator and denominator are integer polynomials of degree at most
+    2|mu0| + 1.  The denominator's linear factors are distinct, so dropping
+    each one that divides the numerator leaves R in lowest terms.
+
+    R(n) * C(2n, n) is checked against the family's sum at n = |mu0| + k,
+    k = 0 .. D + 3, D = deg R; a mismatch is an InternalConsistencyError.
+    """
+    n_lo = mu0.weight()
+    check_mu0_n(mu0, n_lo)
+    h, divisor, small = _family(family, mu0)
+    top = len(small) // 2
+    total = [0] * (top + 1)
+    for s, c in enumerate(small[top:]):
+        if not c:
+            continue
+        term = IntPoly((c if s == 0 else 2 * c,))
+        for i in range(1, s + 1):
+            term = term * IntPoly((1 - i - h, 1))  # m - i + 1
+        for i in range(s + 1, top + 1):
+            term = term * IntPoly((i - h, 1))  # m + i
+        for k, v in enumerate(term.coeffs):
+            total[k] += v
+    num = IntPoly(total)
+    for t in range(h):
+        num = num * IntPoly((-t, 1))
+    # linear factors a*n + b of the denominator, as (b, a)
+    factors = [(-2 * t - 1, 2) for t in range(h)] + [(i - h, 1) for i in range(1, top + 1)]
+    den = IntPoly((divisor * 2**h,))
+    for b, a in factors:
+        quotient = _divide_linear(num.coeffs, a, b)
+        if quotient is None:
+            den = den * IntPoly((b, a))
+        else:
+            num = IntPoly(quotient)
+    value = sum_A if family == "A" else sum_B  # module-level names, so wrappers see the calls
+    for n in range(n_lo, n_lo + max(num.degree, den.degree) + 4):
+        d = horner(den.coeffs, n)
+        if d == 0 or horner(num.coeffs, n) * comb(2 * n, n) != value(mu0, n) * d:
+            raise InternalConsistencyError(
+                f"derived R(n) * C(2n, n) differs from {family}(n) at n={n}"
+                f" for mu0={str(mu0) or 'empty'}"
+            )
+    return num, den

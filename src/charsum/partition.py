@@ -17,13 +17,14 @@ class PartitionFormatError(ValueError):
     """Raised when a partition string cannot be tokenized."""
 
 
+@dataclass(frozen=True)
 class Partition:
     """Immutable non-increasing sequence of positive integers."""
 
-    __slots__ = ("parts",)
+    parts: tuple[int, ...] = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(parts)
+    def __post_init__(self):
+        parts = tuple(self.parts)
         for p in parts:
             if isinstance(p, bool) or not isinstance(p, int) or p < 1:
                 raise ValueError(f"partition parts must be positive integers, got {p!r}")
@@ -31,12 +32,6 @@ class Partition:
             if a < b:
                 raise ValueError(f"parts must be non-increasing, got {parts}")
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __reduce__(self):
-        return (Partition, (self.parts,))
 
     def weight(self) -> int:
         return sum(self.parts)
@@ -49,15 +44,6 @@ class Partition:
 
     def __getitem__(self, i):
         return self.parts[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
 
     def __str__(self) -> str:
         return format_partition(self)

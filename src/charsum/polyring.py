@@ -1,7 +1,8 @@
 """Exact univariate polynomials and binomial coefficients over the integers.
 
-``IntPoly`` is a dense coefficient tuple with classical convolution; no
-floating point anywhere.  ``binomial_coeff`` reads C(e, k) for any integer e,
+``IntPoly`` is a dense coefficient tuple with classical convolution, and
+``horner`` evaluates a coefficient list at a point; no floating point
+anywhere.  ``binomial_coeff`` reads C(e, k) for any integer e,
 as the power-series coefficient of x^k in (1 + x)^e when e < 0,
 ``binomial_range`` gives a window of them for the price of one, and
 ``binomial_convolution`` reads [x^k] (1 + x)^e * small(x) off one window.
@@ -9,23 +10,21 @@ as the power-series coefficient of x^k in (1 + x)^e when e < 0,
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import comb
-from typing import Iterable
 
 
+@dataclass(frozen=True)
 class IntPoly:
     """Dense polynomial; index k of ``coeffs`` holds the coefficient of x^k."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[int, ...] = ()
 
-    def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
+    def __post_init__(self):
+        cs = list(self.coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPoly is immutable")
 
     @property
     def degree(self) -> int:
@@ -46,14 +45,16 @@ class IntPoly:
                     out[i + j] += ca * cb
         return IntPoly(out)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"IntPoly({list(self.coeffs)})"
-
 
 ONE_MINUS_X = IntPoly((1, -1))
+
+
+def horner(cs, x):
+    """The polynomial with coefficients ``cs`` (low to high) evaluated at x."""
+    total = 0
+    for c in reversed(cs):
+        total = total * x + c
+    return total
 
 
 def binomial_coeff(e: int, k: int) -> int:

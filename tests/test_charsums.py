@@ -16,9 +16,15 @@ from charsum.charsums import (
     sum_B_bruteforce,
     verify_theorem,
 )
-from charsum.partition import Partition, enumerate_partitions, make_partition
+from charsum.partition import (
+    Partition,
+    companion_mu_prime,
+    enumerate_partitions,
+    make_partition,
+    theorem_form_of,
+)
 from charsum.polyring import ONE_MINUS_X, IntPoly, binomial_coeff
-from charsum.characters import char_two_row
+from charsum.characters import char_two_row, hook_factor, two_row_factor
 
 
 class TestSumA:
@@ -207,6 +213,35 @@ class TestProofStepIdentities:
                 lhs = one_plus_x_pow(2 * e) * squared_run(1, t)
                 rhs = one_plus_x_pow(2 * (e - 1)) * squared_run(0, t)
                 assert lhs == rhs, (t, e)
+
+    def test_theorem_is_one_polynomial_identity(self):
+        # U(mu0') = (1+x) T(mu0) for every theorem-form mu0, mu0' its companion
+        forms = [
+            (mu0, form)
+            for w in range(21)
+            for mu0 in enumerate_partitions(w, 2)
+            if (form := theorem_form_of(mu0)) is not None
+        ]
+        assert len(forms) == 136
+        for mu0, form in forms:
+            expected = IntPoly((1, 1)) * IntPoly(two_row_factor(mu0.parts))
+            assert hook_factor(companion_mu_prime(form).parts) == expected.coeffs, mu0
+
+    def test_only_the_companion_satisfies_the_identity(self):
+        # among nu of weight |mu0| + 2, U(nu) = (1+x) T(mu0) picks out exactly the
+        # companion, and no nu at all when mu0 is not theorem form
+        pairs = 0
+        for w in range(13):
+            by_factor = {}
+            for nu in enumerate_partitions(w + 2, 2):
+                by_factor.setdefault(hook_factor(nu.parts), []).append(nu)
+            for mu0 in enumerate_partitions(w, 2):
+                target = (IntPoly((1, 1)) * IntPoly(two_row_factor(mu0.parts))).coeffs
+                form = theorem_form_of(mu0)
+                expected = [] if form is None else [companion_mu_prime(form)]
+                assert by_factor.get(target, []) == expected, mu0
+                pairs += len(expected)
+        assert pairs == 29
 
     def test_euler_substitution_preserves_two_row_value(self):
         cases = [(1, (3,)), (2, (3,)), (3, (5, 3)), (4, ()), (5, ())]

@@ -1,5 +1,6 @@
 """CLI: golden outputs, exit codes, and schema-valid JSON."""
 
+import ast
 import contextlib
 import importlib.util
 import io
@@ -7,8 +8,10 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
 
@@ -534,3 +537,41 @@ def test_every_flag_in_readme_cli_section_is_accepted():
     (subparsers,) = build_parser()._subparsers._group_actions
     accepted = {flag for p in subparsers.choices.values() for flag in p._option_string_actions}
     assert named and named <= accepted, sorted(named - accepted)
+
+
+def readme_section(title):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_library_tour_holds():
+    tour = readme_section("Library quick tour").split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, []
+    for stmt in ast.parse(tour).body:
+        code = ast.get_source_segment(tour, stmt)
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(code, namespace))
+        else:
+            exec(code, namespace)
+    a, holds, pairs, fit = values
+    assert a == 2 and holds is True
+    assert pairs and {p.ratio for p in pairs} == {Fraction(1, 2)}
+    assert (fit.numerator, fit.denominator) == ((1,), (1, 1))  # 1/(n+1)
+
+
+def test_readme_cli_examples_print_what_their_comments_say(capsys):
+    block = readme_section("CLI").split("```\n", 2)[1]
+    comments = {}
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        comments[tuple(shlex.split(command)[1:])] = comment.strip()
+    for argv, out in [
+        (("char", "--lambda", "2,1", "--mu", "3"), "-1"),
+        (("sum", "A", "--mu0", "3", "--n", "3"), "2"),
+    ]:
+        assert comments[argv] == out
+        assert run(capsys, list(argv)) == (0, out + "\n", "")
+    argv = ("fit", "--family", "A", "--mu0", "")
+    assert comments[argv].startswith('{"numerator": ["1/1"]')
+    code, out, _ = run(capsys, list(argv))
+    assert code == 0 and json.loads(out)["numerator"] == ["1/1"]

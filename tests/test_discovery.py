@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charsum import discovery
+from charsum import charsums
 from charsum.charsums import InternalConsistencyError, sum_A, sum_B, verify_theorem
 from charsum.cli import main
 from charsum.discovery import (
@@ -162,12 +162,12 @@ class TestFitClosedForm:
         assert fn.denominator[-1] == 1
 
     def test_degree_is_at_most_twice_weight_plus_one(self):
-        # the bound _exact_ratio's docstring derives, reached at some mu0
+        # the bound exact_ratio's docstring derives, reached at some mu0
         slack = []
         for w in range(15):
             for mu0 in enumerate_partitions(w, 2):
                 for family in "AB":
-                    num, den = discovery._exact_ratio(family, mu0)
+                    num, den = charsums.exact_ratio(family, mu0)
                     slack.append(max(num.degree, den.degree) - (2 * w + 1))
         assert max(slack) == 0
 
@@ -202,7 +202,7 @@ class TestFitClosedForm:
         assert comb(2 * n, n) * fn(n) == lemma(mu0, n)
 
     def test_validation_mismatch_is_internal_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(discovery, "sum_B", lambda mu0, n: sum_B(mu0, n) + (n == 9))
+        monkeypatch.setattr(charsums, "sum_B", lambda mu0, n: sum_B(mu0, n) + (n == 9))
         mu0 = make_partition([3, 2])
         with pytest.raises(InternalConsistencyError, match="n=9"):
             fit_closed_form(mu0, "B")

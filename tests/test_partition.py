@@ -1,5 +1,8 @@
 """Partition construction, enumeration, and the power-run decomposition."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -68,6 +71,23 @@ class TestMakePartition:
     def test_constructor_rejects_increasing(self):
         with pytest.raises(ValueError):
             Partition((2, 3))
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_clone_is_equal_with_equal_hash(self, clone):
+        p = make_partition([2, 3, 2])
+        q = clone(p)
+        assert q == p and hash(q) == hash(p) and q.parts == (3, 2, 2)
+
+    def test_parts_cannot_be_assigned(self):
+        p = make_partition([3])
+        with pytest.raises(AttributeError):
+            p.parts = (4,)
+        assert p.parts == (3,)
 
 
 class TestParseFormat:

@@ -1,9 +1,12 @@
 """Exact polynomial products and generalized binomial coefficients."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import zip_longest
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -77,6 +80,22 @@ class TestMul:
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
             assert a * add(b, c) == add(a * b, a * c)
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_clone_is_equal_with_equal_hash(self, clone):
+        f = IntPoly([1, -1, 0, 0])
+        g = clone(f)
+        assert g == f and hash(g) == hash(f) and g.coeffs == (1, -1)
+
+    def test_coeffs_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            ONE_MINUS_X.coeffs = (1,)
+        assert ONE_MINUS_X.coeffs == (1, -1)
 
 
 class TestCoeff:
