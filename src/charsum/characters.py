@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from itertools import combinations, permutations
 from math import factorial, prod
 
 from .partition import Partition, check_mu0_n, make_partition
@@ -36,7 +37,7 @@ ORACLE_CACHE_SIZE = 4096
 
 
 class RowCapExceeded(ValueError):
-    """Shape has too many rows for full expansion; use char_mn instead."""
+    """Shape has more rows than the route evaluates; char_mn takes any shape."""
 
 
 def _check_weights(lmbda: Partition, mu: Partition) -> None:
@@ -61,26 +62,17 @@ def char_ct(lmbda: Partition, mu: Partition) -> int:
             f"lambda has {m} rows, cap is {DEFAULT_ROW_CAP}; use char_mn instead"
         )
     target = lmbda.parts
-    # {exponent vector: coefficient}; each 1 - x_j/x_i keeps a term or moves
-    # one unit of exponent from row i to row j with the opposite sign.
-    product = {(0,) * m: 1}
-    for i in range(m):
-        for j in range(i + 1, m):
-            grown = dict(product)
-            for exps, c in product.items():
-                moved = list(exps)
-                moved[i] -= 1
-                moved[j] += 1
-                moved = tuple(moved)
-                grown[moved] = grown.get(moved, 0) - c
-            product = {exps: c for exps, c in grown.items() if c}
-
-    # Power sums only raise exponents, so once they start, any term with an
-    # exponent already above its target row length can never contribute:
-    # prune those once here, then check only the row each power sum raises.
-    product = {
-        exps: c for exps, c in product.items() if all(e <= t for e, t in zip(exps, target))
-    }
+    # prod_{i<j} (1 - x_j/x_i) is the Vandermonde determinant over
+    # prod_i x_i^(m-1-i): one term sgn(s) prod_i x_i^(i - s(i)) per permutation
+    # s.  Power sums only raise exponents, so a term with an exponent already
+    # above its target row length never contributes: prune it here, then check
+    # only the row each power sum raises.
+    product = {}
+    for perm in permutations(range(m)):
+        exps = tuple(i - s for i, s in enumerate(perm))
+        if all(e <= t for e, t in zip(exps, target)):
+            inversions = sum(a > b for a, b in combinations(perm, 2))
+            product[exps] = -1 if inversions % 2 else 1
     for part in mu.parts:
         grown = {}
         for exps, c in product.items():
@@ -118,6 +110,15 @@ def char_two_row(n: int, j: int, mu0: Partition) -> int:
         raise ValueError(f"j must be in [0, {n + 1}], got {j}")
     check_mu0_n(mu0, n)
     return binomial_convolution(two_row_factor(mu0.parts), n - mu0.weight(), j)
+
+
+def _two_row_route(lmbda: Partition, mu: Partition) -> int:
+    """``char_two_row`` on a shape of at most two rows and any class of its weight."""
+    if len(lmbda) > 2:
+        raise RowCapExceeded("tworow method needs a shape with at most 2 rows")
+    _check_weights(lmbda, mu)
+    j = lmbda[1] if len(lmbda) == 2 else 0
+    return char_two_row(lmbda.weight(), j, Partition([p for p in mu if p > 1]))
 
 
 def char_mn(lmbda: Partition, mu: Partition) -> int:
@@ -163,6 +164,10 @@ def _dimension(betas: tuple[int, ...]) -> int:
     gaps = [g for g in range(max(betas, default=0)) if g not in occupied]
     hooks = prod(b - g for b in betas for g in gaps[: bisect_left(gaps, b)])
     return factorial(sum(betas) - len(betas) * (len(betas) - 1) // 2) // hooks
+
+
+# ``charsum char``'s routes; each raises RowCapExceeded for a shape it cannot take.
+ROUTES = {"mn": char_mn, "ct": char_ct, "tworow": _two_row_route}
 
 
 def padded_class(mu0: Partition, n: int) -> Partition:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .characters import DEFAULT_ROW_CAP, char_ct, char_mn, char_two_row
+from .characters import ROUTES, RowCapExceeded
 from .charsums import (
     InternalConsistencyError,
     sum_A,
@@ -44,7 +44,7 @@ from .charsums import (
 )
 from .discovery import DEFAULT_SEARCH_WINDOW, SearchError, fit_closed_form, search_pairs
 from .oeis import OeisClient, OeisError, live_transport, offline_transport
-from .partition import Partition, PartitionFormatError, format_partition, parse_partition
+from .partition import PartitionFormatError, format_partition, parse_partition
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -112,30 +112,13 @@ def _positive_int(text: str) -> int:
 def cmd_char(args) -> int:
     lam = parse_partition(args.lambda_)
     mu = parse_partition(args.mu)
-
-    def tworow_value() -> int:
-        if len(lam) > 2:
-            raise ValueError("tworow method needs a shape with at most 2 rows")
-        if lam.weight() != mu.weight():
-            raise ValueError(
-                f"weight mismatch: |lambda|={lam.weight()} but |mu|={mu.weight()}"
-            )
-        n = lam.weight()
-        j = lam[1] if len(lam) == 2 else 0
-        mu0 = Partition([p for p in mu if p > 1])
-        return char_two_row(n, j, mu0)
-
-    evaluators = {
-        "mn": lambda: char_mn(lam, mu),
-        "ct": lambda: char_ct(lam, mu),
-        "tworow": tworow_value,
-    }
     if args.check_all:
-        values = {"mn": evaluators["mn"]()}
-        if len(lam) <= DEFAULT_ROW_CAP:
-            values["ct"] = evaluators["ct"]()
-        if len(lam) <= 2:
-            values["tworow"] = evaluators["tworow"]()
+        values = {}
+        for method, route in ROUTES.items():
+            try:
+                values[method] = route(lam, mu)
+            except RowCapExceeded:
+                pass
         agree = len(set(values.values())) == 1
         if args.format == "json":
             print(
@@ -152,7 +135,7 @@ def cmd_char(args) -> int:
             for method, v in values.items():
                 print(f"{method} {v}")
         return EXIT_OK if agree else EXIT_MISMATCH
-    value = evaluators[args.method]()
+    value = ROUTES[args.method](lam, mu)
     if args.format == "json":
         print(
             json.dumps(
@@ -175,16 +158,12 @@ def cmd_sum(args) -> int:
 
     lemma = sum_A if args.family == "A" else sum_B
     brute = sum_A_bruteforce if args.family == "A" else sum_B_bruteforce
+    routes = {"lemma": (lemma,), "brute": (brute,), "both": (lemma, brute)}[args.mode]
     rows = []
     for n in range(n_lo, n_hi + 1):
-        if args.mode == "lemma":
-            value = lemma(mu0, n)
-        elif args.mode == "brute":
-            value = brute(mu0, n)
-        else:
-            value = lemma(mu0, n)
-            check = brute(mu0, n)
-            if value != check:
+        value, *checks = [route(mu0, n) for route in routes]
+        for check in checks:
+            if check != value:
                 raise InternalConsistencyError(
                     f"lemma/brute mismatch at n={n}: {value} vs {check}"
                 )
@@ -318,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("char", help="one character value")
     p.add_argument("--lambda", dest="lambda_", required=True, metavar="PARTS")
     p.add_argument("--mu", required=True, metavar="PARTS")
-    p.add_argument("--method", choices=["mn", "ct", "tworow"], default="mn")
+    p.add_argument("--method", choices=list(ROUTES), default="mn")
     p.add_argument("--check-all", action="store_true", help="compare all applicable methods")
     p.add_argument("--format", choices=["plain", "json"], default="plain")
     p.set_defaults(func=cmd_char)

@@ -6,7 +6,9 @@ evidence, not proof).  ``search_pairs`` reaches the same verdict for all
 candidate pairs with a weight gap of 2 at once: it computes each partition's
 sequence once and joins the mu0 and mu0' whose gcd-reduced sequences are
 equal, and flags the pairs matching the odd-parts-plus-power-run
-construction.  ``fit_closed_form`` formats the rational function R with
+construction.  Unflagged pairs can be window artefacts: with the default
+window, 10 of K = 22's 201 pairs are, each with a part above the window.
+``fit_closed_form`` formats the rational function R with
 family(n) = C(2n, n) * R(n) that ``charsums.exact_ratio`` derives and checks.
 """
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charsum
-from charsum import cli
+from charsum import characters, cli
 from charsum.cli import build_parser, main
 from charsum.oeis import OeisClient, UnparsableCacheWarning
 from charsum.partition import enumerate_partitions, format_partition, theorem_form_of
@@ -102,12 +102,32 @@ class TestCharCommand:
         jsonschema.validate(json.loads(out), load_schema("char_result.v1.json"))
 
     def test_check_all_disagreement_exits_4(self, capsys, monkeypatch):
-        monkeypatch.setattr("charsum.cli.char_ct", lambda lam, mu: 999)
+        monkeypatch.setitem(characters.ROUTES, "ct", lambda lam, mu: 999)
         code, out, _ = run(
             capsys, ["char", "--lambda", "3,1", "--mu", "2,2", "--check-all"]
         )
         assert code == 4
         assert "mn -1" in out and "ct 999" in out
+
+    def test_check_all_reads_the_row_cap_when_it_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(characters, "DEFAULT_ROW_CAP", 2)
+        code, out, err = run(
+            capsys, ["char", "--lambda", "2,1,1", "--mu", "3,1", "--check-all"]
+        )
+        assert (code, out, err) == (0, "mn 0\n", "")
+
+    @pytest.mark.parametrize(
+        "lam, mu, methods",
+        [("2,1,1", "2,2", ["mn", "ct"]), ("2,1,1,1,1", "3,3", ["mn"])],
+    )
+    def test_check_all_skips_the_routes_the_shape_exceeds(self, capsys, lam, mu, methods):
+        argv = ["char", "--lambda", lam, "--mu", mu, "--check-all"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == methods
+        code, out, _ = run(capsys, argv + ["--format", "json"])
+        assert code == 0
+        assert list(json.loads(out)["values"]) == methods
 
     def test_methods_select(self, capsys):
         for method in ["mn", "ct", "tworow"]:
@@ -180,7 +200,7 @@ class TestSumCommand:
             capsys, ["sum", "A", "--mu0", "3", "--n", "3", "--mode", "both"]
         )
         assert code == 4
-        assert "mismatch" in err
+        assert err == "error: lemma/brute mismatch at n=3: 2 vs 999\n"
 
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(capsys, ["sum", "A", "--mu0", "3", "--n", "9..3"])
@@ -553,7 +573,8 @@ def test_readme_library_tour_holds():
             values.append(eval(code, namespace))
         else:
             exec(code, namespace)
-    a, holds, pairs, fit = values
+    companion, a, holds, pairs, fit = values
+    assert companion.parts == (3, 2)
     assert a == 2 and holds is True
     assert pairs and {p.ratio for p in pairs} == {Fraction(1, 2)}
     assert (fit.numerator, fit.denominator) == ((1,), (1, 1))  # 1/(n+1)
