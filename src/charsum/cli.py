@@ -1,9 +1,11 @@
 """Command-line front end: char, sum, verify, search, fit, oeis.
 
-This module alone renders stdout, in every format; the library returns plain
-values.  Outputs are deterministic given flags and fixtures.  Big integers are
-always printed as decimal strings in JSON so consumers never overflow.  Exit
-codes:
+This module alone renders stdout; the library returns plain values.  Each
+command builds one JSON record and its plain lines, and ``_emit`` is the one
+place that knows how plain, JSON and CSV look (``search`` and ``fit`` print
+JSON only).  Outputs are deterministic given flags and fixtures.  Big integers
+are always printed as decimal strings in JSON so consumers never overflow.
+Exit codes:
 
   0    success (for verify: every n in the range holds)
   1    verify ran and the identity failed for some n
@@ -30,8 +32,9 @@ import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from .characters import ROUTES, RowCapExceeded
 from .charsums import (
@@ -109,9 +112,33 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _emit(fmt: str, record: dict, plain: Iterable[str]) -> None:
+    """Print a command's result in format ``fmt``.
+
+    ``record`` is the JSON object, big integers already decimal strings.  A
+    sweep's ``record["rows"]`` is an iterator of row dicts: CSV prints them
+    under a header of their keys, one row at a time, and JSON lists them all.
+    Plain prints the command's ``plain`` lines, also one at a time.  Only one
+    of ``record["rows"]`` and ``plain`` is read, so both may draw on one iterator.
+    """
+    if fmt == "json":
+        if "rows" in record:
+            record = {**record, "rows": list(record["rows"])}
+        print(json.dumps(record))
+    elif fmt == "csv":
+        for i, row in enumerate(record["rows"]):
+            if i == 0:
+                print(",".join(row))
+            print(",".join(str(v).lower() if isinstance(v, bool) else str(v) for v in row.values()))
+    else:
+        for line in plain:
+            print(line)
+
+
 def cmd_char(args) -> int:
     lam = parse_partition(args.lambda_)
     mu = parse_partition(args.mu)
+    record = {"lambda": format_partition(lam), "mu": format_partition(mu)}
     if args.check_all:
         values = {}
         for method, route in ROUTES.items():
@@ -120,35 +147,12 @@ def cmd_char(args) -> int:
             except RowCapExceeded:
                 pass
         agree = len(set(values.values())) == 1
-        if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "lambda": format_partition(lam),
-                        "mu": format_partition(mu),
-                        "values": {k: str(v) for k, v in values.items()},
-                        "agree": agree,
-                    }
-                )
-            )
-        else:
-            for method, v in values.items():
-                print(f"{method} {v}")
+        record.update(values={k: str(v) for k, v in values.items()}, agree=agree)
+        _emit(args.format, record, (f"{method} {v}" for method, v in values.items()))
         return EXIT_OK if agree else EXIT_MISMATCH
     value = ROUTES[args.method](lam, mu)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "lambda": format_partition(lam),
-                    "mu": format_partition(mu),
-                    "method": args.method,
-                    "value": str(value),
-                }
-            )
-        )
-    else:
-        print(value)
+    record.update(method=args.method, value=str(value))
+    _emit(args.format, record, [record["value"]])
     return EXIT_OK
 
 
@@ -169,61 +173,28 @@ def cmd_sum(args) -> int:
                 )
         rows.append((n, value))
 
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "family": args.family,
-                    "mu0": format_partition(mu0),
-                    "mode": args.mode,
-                    "rows": [{"n": n, "value": str(v)} for n, v in rows],
-                }
-            )
-        )
-    elif args.format == "csv":
-        print("n,value")
-        for n, v in rows:
-            print(f"{n},{v}")
-    else:
-        if n_lo == n_hi:
-            print(rows[0][1])
-        else:
-            for n, v in rows:
-                print(f"{n} {v}")
+    record = {
+        "family": args.family,
+        "mu0": format_partition(mu0),
+        "mode": args.mode,
+        "rows": ({"n": n, "value": str(v)} for n, v in rows),
+    }
+    plain = (str(v) if n_lo == n_hi else f"{n} {v}" for n, v in rows)
+    _emit(args.format, record, plain)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     report = verify_theorem(parse_partition(args.mu0), *_parse_range(args.n))
-    rows = [(n, a, b, 2 * a == b) for n, a, b in report.rows]
-    all_hold = all(holds for *_, holds in rows)
-
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "mu0": format_partition(report.mu0),
-                    "mu0_prime": format_partition(report.mu0_prime),
-                    "rows": [
-                        {"n": n, "A": str(a), "B": str(b), "holds": holds}
-                        for n, a, b, holds in rows
-                    ],
-                    "all_hold": all_hold,
-                }
-            )
-        )
-    elif args.format == "csv":
-        print("n,A,B,holds")
-        for n, a, b, holds in rows:
-            print(f"{n},{a},{b},{'true' if holds else 'false'}")
-    else:
-        print(
-            f"mu0={format_partition(report.mu0)} "
-            f"mu0_prime={format_partition(report.mu0_prime)}"
-        )
-        for n, a, b, holds in rows:
-            print(f"n={n} A={a} B={b} holds={'yes' if holds else 'no'}")
-        print(f"all_hold={'yes' if all_hold else 'no'}")
+    mu0, mu0p = format_partition(report.mu0), format_partition(report.mu0_prime)
+    rows = ({"n": n, "A": str(a), "B": str(b), "holds": 2 * a == b} for n, a, b in report.rows)
+    all_hold = report.all_hold
+    plain = chain(
+        [f"mu0={mu0} mu0_prime={mu0p}"],
+        (f"n={r['n']} A={r['A']} B={r['B']} holds={'yes' if r['holds'] else 'no'}" for r in rows),
+        [f"all_hold={'yes' if all_hold else 'no'}"],
+    )
+    _emit(args.format, {"mu0": mu0, "mu0_prime": mu0p, "rows": rows, "all_hold": all_hold}, plain)
     return EXIT_OK if all_hold else EXIT_VERIFY_FAILED
 
 
@@ -234,34 +205,28 @@ def _fraction(q: Fraction) -> str:
 
 def cmd_search(args) -> int:
     for pair in search_pairs(args.K, args.window):
-        print(
-            json.dumps(
-                {
-                    "mu0": format_partition(pair.mu0),
-                    "mu0_prime": format_partition(pair.mu0_prime),
-                    "ratio": _fraction(pair.ratio),
-                    "evidence_n": [pair.n_lo, pair.n_hi],
-                    "theorem_predicted": pair.theorem_predicted,
-                }
-            )
-        )
+        record = {
+            "mu0": format_partition(pair.mu0),
+            "mu0_prime": format_partition(pair.mu0_prime),
+            "ratio": _fraction(pair.ratio),
+            "evidence_n": [pair.n_lo, pair.n_hi],
+            "theorem_predicted": pair.theorem_predicted,
+        }
+        print(json.dumps(record))
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
     mu0 = parse_partition(args.mu0)
     fn = fit_closed_form(mu0, args.family)
-    print(
-        json.dumps(
-            {
-                "family": args.family,
-                "mu0": format_partition(mu0),
-                "n_lo": mu0.weight(),
-                "numerator": [_fraction(c) for c in fn.numerator],
-                "denominator": [_fraction(c) for c in fn.denominator],
-            }
-        )
-    )
+    record = {
+        "family": args.family,
+        "mu0": format_partition(mu0),
+        "n_lo": mu0.weight(),
+        "numerator": [_fraction(c) for c in fn.numerator],
+        "denominator": [_fraction(c) for c in fn.denominator],
+    }
+    print(json.dumps(record))
     return EXIT_OK
 
 
@@ -271,18 +236,8 @@ def cmd_oeis(args) -> int:
     cache_dir = Path(args.cache_dir) if args.cache_dir else None
     client = OeisClient(transport=transport, cache_dir=cache_dir)
     matches = client.lookup(values, max_results=args.max_results)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "query": ",".join(str(v) for v in values),
-                    "matches": [asdict(m) for m in matches],
-                }
-            )
-        )
-    else:
-        for m in matches:
-            print(f"{m.sequence_id} {m.name}")
+    record = {"query": ",".join(str(v) for v in values), "matches": [asdict(m) for m in matches]}
+    _emit(args.format, record, (f"{m.sequence_id} {m.name}" for m in matches))
     return EXIT_OK
 
 

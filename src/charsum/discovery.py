@@ -29,12 +29,12 @@ from .partition import (
 )
 from .polyring import horner
 
-MIN_RATIO_WINDOW = 3  # n_hi - n_lo must be at least this
+MIN_RATIO_WINDOW = 4  # n_hi - n_lo (a search's window) must be at least this
 DEFAULT_SEARCH_WINDOW = 12
 
 
 class SearchError(ValueError):
-    """Search parameters out of range: K < 2 or window < 4."""
+    """Search parameters out of range: K < 2 or window < MIN_RATIO_WINDOW."""
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,8 @@ def search_pairs(K: int, window: int = DEFAULT_SEARCH_WINDOW) -> list[TheoremPai
     """
     if K < 2:
         raise SearchError("K must be >= 2")
-    if window < 4:
-        raise SearchError("window must be >= 4")
+    if window < MIN_RATIO_WINDOW:
+        raise SearchError(f"window must be >= {MIN_RATIO_WINDOW}")
     pairs = []
     for w in range(K + 1):
         buckets: dict[tuple[int, ...], list[tuple[Partition, int]]] = {}

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charsum
-from charsum import characters, cli
+from charsum import characters, charsums, cli
 from charsum.cli import build_parser, main
 from charsum.oeis import OeisClient, UnparsableCacheWarning
 from charsum.partition import enumerate_partitions, format_partition, theorem_form_of
@@ -281,6 +281,34 @@ class TestVerifyCommand:
         assert code == 0
         assert out == "n,A,B,holds\n3,2,4,true\n4,2,4,true\n5,3,6,true\n"
 
+    @pytest.mark.parametrize(
+        "fmt, expected",
+        [
+            (
+                "plain",
+                "mu0=3 mu0_prime=3,2\n"
+                "n=3 A=2 B=4 holds=yes\n"
+                "n=4 A=2 B=5 holds=no\n"
+                "n=5 A=3 B=6 holds=yes\n"
+                "all_hold=no\n",
+            ),
+            ("csv", "n,A,B,holds\n3,2,4,true\n4,2,5,false\n5,3,6,true\n"),
+            (
+                "json",
+                '{"mu0": "3", "mu0_prime": "3,2", "rows": '
+                '[{"n": 3, "A": "2", "B": "4", "holds": true}, '
+                '{"n": 4, "A": "2", "B": "5", "holds": false}, '
+                '{"n": 5, "A": "3", "B": "6", "holds": true}], "all_hold": false}\n',
+            ),
+        ],
+    )
+    def test_a_failing_row_exits_1(self, capsys, monkeypatch, fmt, expected):
+        original = charsums.sum_B
+        # B(3,2)(6) is the value verify compares with A(3)(4)
+        monkeypatch.setattr(charsums, "sum_B", lambda mu0, n: original(mu0, n) + (n == 6))
+        code, out, err = run(capsys, ["verify", "--mu0", "3", "--n", "3..5", "--format", fmt])
+        assert (code, out, err) == (1, expected, "")
+
     def test_single_n_allowed(self, capsys):
         code, out, _ = run(capsys, ["verify", "--mu0", "3", "--n", "3"])
         assert code == 0
@@ -385,7 +413,22 @@ class TestOeisCommand:
     def test_json_schema(self, capsys, oeis_cache):
         code, out, _ = run(capsys, ["oeis", "1,2,6,20,70,252", "--format", "json"])
         assert code == 0
+        assert out == (
+            '{"query": "1,2,6,20,70,252", "matches": ['
+            '{"sequence_id": "A000984", "name": "Central binomial coefficients: '
+            'binomial(2*n,n) = (2*n)!/(n!)^2.", "matched_offset": 0, "match_length": 6}, '
+            '{"sequence_id": "A001700", "name": "a(n) = binomial(2n-2, n-1).", '
+            '"matched_offset": 1, "match_length": 6}]}\n'
+        )
         jsonschema.validate(json.loads(out), load_schema("oeis_result.v1.json"))
+
+    @pytest.mark.parametrize(
+        "fmt, expected", [("plain", ""), ("json", '{"query": "1,1,1,1,1,7", "matches": []}\n')]
+    )
+    def test_no_matches(self, capsys, oeis_cache, fmt, expected):
+        OeisClient(cache_dir=oeis_cache).seed_cache("1,1,1,1,1,7", json.dumps({"results": []}))
+        code, out, err = run(capsys, ["oeis", "1,1,1,1,1,7", "--format", fmt])
+        assert (code, out, err) == (0, expected, "")
 
     def test_cache_dir_flag_overrides(self, capsys, tmp_path):
         OeisClient(cache_dir=tmp_path).seed_cache(

@@ -61,6 +61,11 @@ class TestRatioTest:
         with pytest.raises(ValueError, match="window"):
             ratio_test(make_partition([3]), make_partition([3, 2]), 3, 5)
 
+    def test_window_search_rejects_is_rejected(self):
+        # search_pairs rejects window 3, so ratio_test gives no verdict on it either
+        with pytest.raises(ValueError, match="window"):
+            ratio_test(make_partition([3]), make_partition([3, 2]), 3, 6)
+
     def test_part_one_rejected(self):
         with pytest.raises(ValueError, match="smallest part"):
             ratio_test(make_partition([3, 1]), make_partition([3, 2, 1]), 4, 12)
