@@ -10,13 +10,22 @@
    The hook shapes have the same kind of factor: the character of
    (n-k, 1^k) is the coefficient d_k of Q(x) = (1+x)^(n-sum a_i-1) * U(x),
    U(x) = prod(1 - (-x)^a_i), for 0 <= k < n (James-Kerber 1981, 2.7).
-3. ``char_mn``: Murnaghan-Nakayama on James's abacus, the independent oracle
-   for the other two and for the sums.  The shape is its ascending beta-set
-   (first-column hook lengths); removing a k-border-strip moves a bead b to
-   an empty b-k, with sign (-1)^(beads strictly between).  Only the class's
-   parts >= 2 are removed one by one; the 1s are closed at once by the
-   hook-length formula f^lambda = |lambda|!/prod(hooks), so the recursion is
-   as deep as the number of parts >= 2 and the memo key carries no 1s.
+3. ``char_mn``: Murnaghan-Nakayama on the Maya diagram, the independent
+   oracle for the other two and for the sums.  Row i of the shape puts a
+   bead at lambda_i - i (i >= 1, lambda_i = 0 past the last row), so far
+   enough down every place holds a bead.  The shape is kept as its defects,
+   the places where it differs from the vacuum of beads at every place < 0:
+   the beads at a_i = lambda_i - i >= 0 and the empty places -b_i - 1 < 0,
+   b_i = lambda'_i - i, for i up to the side d of the Durfee square (the
+   Frobenius coordinates (a | b)).  There are 2d of them whatever n is: 2 for
+   a hook, at most 4 for a two-row shape.  Removing a k-border-strip moves a
+   bead x to an empty x-k, with sign (-1)^(beads strictly between), and
+   toggles both places in the defects.  A bead that can move is a defect
+   >= 0 or the vacuum's bead k above a defect < 0, so a memo node looks at
+   its 2d defects and nothing else.  Only the class's parts >= 2 are removed
+   one by one; the 1s are closed at once by the hook-length formula in
+   Frobenius coordinates, so the recursion is as deep as the number of
+   parts >= 2 and the memo key carries no 1s.
 """
 
 from __future__ import annotations
@@ -24,15 +33,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial, prod
+from math import comb, perm
 
 from .partition import Partition, check_mu0_n, make_partition
 from .polyring import ONE_MINUS_X, IntPoly, binomial_convolution
 
 DEFAULT_ROW_CAP = 4
 
-# Distinct (beta-set, remaining parts) states the oracle keeps; a brute-force
-# sum at one n of the benchmark's windows visits at most about 400.
+# Distinct (defects, remaining parts) states the oracle keeps; a brute-force
+# sum at one n of the benchmark's windows (A up to n = 200, B up to n = 103,
+# three parts >= 2) visits at most 393, each at most four defects long.
 ORACLE_CACHE_SIZE = 4096
 
 
@@ -122,48 +132,87 @@ def _two_row_route(lmbda: Partition, mu: Partition) -> int:
 
 
 def char_mn(lmbda: Partition, mu: Partition) -> int:
-    """Character value by border-strip removal on the abacus (the oracle path)."""
+    """Character value by border-strip removal on the Maya diagram (the oracle path)."""
     _check_weights(lmbda, mu)
-    betas = tuple(part + i for i, part in enumerate(reversed(lmbda.parts)))
-    return _mn(betas, tuple(part for part in mu.parts if part >= 2))
+    parts = mu.parts
+    # the class is non-increasing, so its 1s are a suffix
+    return _mn(_defects(lmbda.parts), parts[: len(parts) - parts.count(1)])
+
+
+def _defects(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The shape's defects, ascending: a_i and -b_i - 1 for each row i <= d."""
+    ascending = parts[::-1]
+    defects = []
+    for i, part in enumerate(parts):
+        if part <= i:
+            break
+        # lambda'_(i+1) is len(parts) - bisect_left(ascending, i + 1)
+        defects += (part - i - 1, i - len(parts) + bisect_left(ascending, i + 1))
+    return tuple(sorted(defects))
 
 
 @lru_cache(maxsize=ORACLE_CACHE_SIZE)
-def _mn(betas: tuple[int, ...], parts: tuple[int, ...]) -> int:
+def _mn(defects: tuple[int, ...], parts: tuple[int, ...]) -> int:
     """chi^lambda on the class ``parts`` padded with 1s.
 
-    ``betas`` is lambda's ascending beta-set with empty rows trimmed (no bead
-    at 0); ``parts`` is non-increasing and holds no 1s.
+    ``defects`` is lambda's ``_defects``; ``parts`` is non-increasing and
+    holds no 1s.  The sign counts the beads strictly between mod 2: there
+    the defects >= 0 are beads and the places < 0 are beads but for the
+    defects, so the parity is that of the defects there plus the places < 0.
     """
     if not parts:
-        return _dimension(betas)
+        return _dimension(defects)
     k, rest = parts[0], parts[1:]
     total = 0
-    # bead i moves k places down to an empty position; the i - j beads it
-    # passes are the strip's height
-    for i in range(bisect_left(betas, k), len(betas)):
-        landing = betas[i] - k
-        j = bisect_left(betas, landing)
-        if betas[j] == landing:
-            continue
-        moved = betas[:j] + (landing,) + betas[j:i] + betas[i + 1 :]
-        # beads at 0..empty-1 are empty rows: drop them and shift the rest down
-        empty = 0
-        while empty < len(moved) and moved[empty] == empty:
-            empty += 1
-        if empty:
-            moved = tuple(b - empty for b in moved[empty:])
+    for t, d in enumerate(defects):
+        if d >= 0:
+            # the bead at d falls to d - k, an empty place >= 0 or a defect < 0
+            i, y = t, d - k
+            j = bisect_left(defects, y, 0, i)
+            filled = defects[j] == y
+            if filled != (y < 0):
+                continue
+            if filled:
+                moved = defects[:j] + defects[j + 1 : i] + defects[i + 1 :]
+            else:
+                moved = defects[:j] + (y,) + defects[j:i] + defects[i + 1 :]
+            passed = i - j - filled + (-y - 1 if y < 0 else 0)
+        else:
+            # the vacuum's bead at d + k < 0 falls into the empty place d
+            j, x = t, d + k
+            if x >= 0 or x in defects:
+                continue
+            i = bisect_left(defects, x, j)
+            moved = defects[:j] + defects[j + 1 : i] + (x,) + defects[i:]
+            passed = i - j - 1 + k - 1
         value = _mn(moved, rest)
-        total += -value if (i - j) % 2 else value
+        total += -value if passed % 2 else value
     return total
 
 
-def _dimension(betas: tuple[int, ...]) -> int:
-    """f^lambda = |lambda|!/prod(hooks); a bead b's row has hooks b - g, g < b empty."""
-    occupied = set(betas)
-    gaps = [g for g in range(max(betas, default=0)) if g not in occupied]
-    hooks = prod(b - g for b in betas for g in gaps[: bisect_left(gaps, b)])
-    return factorial(sum(betas) - len(betas) * (len(betas) - 1) // 2) // hooks
+def _dimension(defects: tuple[int, ...]) -> int:
+    """f^lambda = |lambda|!/prod(hooks), in Frobenius coordinates:
+
+      f = n! prod_{i<j} (a_i - a_j)(b_i - b_j) / (prod_i a_i! b_i! prod_{i,j} (a_i + b_j + 1))
+
+    Over the defects n = sum |d|.  The a_i and b_i add up to n - rank, so
+    n!/prod(a_i! b_i!) is perm(n, rank) times a multinomial, taken one comb
+    at a time: no factorial of n.  A pair of defects on one side of 0 puts
+    its distance on top, a pair across 0 (a_i + b_j + 1) puts it below.
+    """
+    n, rank = sum(map(abs, defects)), len(defects) // 2
+    top, left = perm(n, rank), n - rank
+    for d in defects:
+        length = d if d >= 0 else -d - 1  # a_i or b_i
+        top *= comb(left, length)
+        left -= length
+    bottom = 1
+    for d, e in combinations(defects, 2):
+        if (d < 0) == (e < 0):
+            top *= e - d
+        else:
+            bottom *= e - d
+    return top // bottom
 
 
 # ``charsum char``'s routes; each raises RowCapExceeded for a shape it cannot take.

@@ -22,6 +22,8 @@ Exit codes:
 
 Each command raises and ``main`` maps the exception to its code through
 ``EXIT_CODES``, printing one ``error:`` line to stderr.  Code 6 is unused.
+A warning the library raises on the way (a cache file that does not parse,
+say) is printed as one ``warning:`` line, without Python's source location.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import chain
@@ -291,6 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """``warnings.formatwarning`` for the CLI: one ``warning:`` line."""
+    return f"warning: {message}\n"
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     # Exact values outgrow CPython's default 4300-digit int<->str limit (A(3)(n)
@@ -300,6 +308,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if limited:
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
+    saved_format, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.func(args)
     except tuple(cls for cls, _, _ in EXIT_CODES) as exc:
@@ -307,6 +316,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {message or exc}", file=sys.stderr)
         return code
     finally:
+        warnings.formatwarning = saved_format
         if limited:
             sys.set_int_max_str_digits(saved)
 

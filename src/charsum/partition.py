@@ -10,6 +10,7 @@ single part 2^t, raising the weight by exactly 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 from typing import Iterable, Iterator, Optional
 
 
@@ -25,12 +26,16 @@ class Partition:
 
     def __post_init__(self):
         parts = tuple(self.parts)
-        for p in parts:
-            if isinstance(p, bool) or not isinstance(p, int) or p < 1:
-                raise ValueError(f"partition parts must be positive integers, got {p!r}")
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ValueError(f"parts must be non-increasing, got {parts}")
+        # checked at C speed; the loops only word the error
+        if parts and not (
+            set(map(type, parts)) == {int} and parts[-1] >= 1 and all(map(ge, parts, parts[1:]))
+        ):
+            for p in parts:
+                if isinstance(p, bool) or not isinstance(p, int) or p < 1:
+                    raise ValueError(f"partition parts must be positive integers, got {p!r}")
+            for a, b in zip(parts, parts[1:]):
+                if a < b:
+                    raise ValueError(f"parts must be non-increasing, got {parts}")
         object.__setattr__(self, "parts", parts)
 
     def weight(self) -> int:

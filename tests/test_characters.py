@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from charsum.characters import (
     RowCapExceeded,
+    _defects,
+    _dimension,
     char_ct,
     char_mn,
     char_two_row,
@@ -123,6 +125,43 @@ def _partitions_of(n, max_len=None):
 def test_mn_agrees_with_ct_on_three_rows(pair):
     lam, mu = pair
     assert char_mn(lam, mu) == char_ct(lam, mu)
+
+
+def _conjugate(lam):
+    return make_partition([sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0)])
+
+
+def _partitions_up_to(cap):
+    """Partitions of weight at most cap; half are conjugated, so shapes with
+    many rows are as common as shapes with few."""
+
+    def bounded(xs):
+        parts = []
+        for x in xs:
+            if sum(parts) + x > cap:
+                break
+            parts.append(x)
+        return make_partition(parts)
+
+    shapes = st.lists(st.integers(1, cap), max_size=cap).map(bounded)
+    return st.tuples(shapes, st.booleans()).map(lambda s: _conjugate(s[0]) if s[1] else s[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_partitions_up_to(40))
+def test_dimension_is_the_hook_length_formula(lam):
+    conj = _conjugate(lam)
+    hooks = [lam[i] - j + conj[j] - i - 1 for i in range(len(lam)) for j in range(lam[i])]
+    assert _dimension(_defects(lam.parts)) == factorial(lam.weight()) // prod(hooks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 18).flatmap(lambda n: st.tuples(_partitions_of(n), _partitions_of(n))))
+def test_conjugate_shape_is_twisted_by_the_sign(pair):
+    # chi^(lambda') = sgn * chi^lambda, sgn(mu) = (-1)^(number of even parts)
+    lam, mu = pair
+    sign = (-1) ** sum(1 for p in mu if p % 2 == 0)
+    assert char_mn(_conjugate(lam), mu) == sign * char_mn(lam, mu)
 
 
 def gen_poly(mu0, n):

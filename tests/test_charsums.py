@@ -101,6 +101,12 @@ class TestLemmaVsDefinition:
                     assert sum_A(mu0, n) == sum_A_bruteforce(mu0, n), (mu0, n)
                     assert sum_B(mu0, n) == sum_B_bruteforce(mu0, n), (mu0, n)
 
+    def test_at_the_benchmark_sizes(self):
+        # the largest n of the benchmark's oracle windows; the hook factor is
+        # otherwise only checked against char_mn up to weight 14
+        assert sum_A_bruteforce(make_partition([5, 3, 2]), 200) == sum_A(make_partition([5, 3, 2]), 200)
+        assert sum_B_bruteforce(make_partition([4, 3, 3]), 100) == sum_B(make_partition([4, 3, 3]), 100)
+
     def test_values_nonnegative(self):
         for w in range(6):
             for mu0 in enumerate_partitions(w, 2):

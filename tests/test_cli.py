@@ -489,6 +489,17 @@ class TestOeisCommand:
         assert code == 7
         assert "disabled" in err
 
+    def test_library_warning_is_one_line_on_stderr(self, tmp_path):
+        # a fresh process shows warnings as Python formats them, unlike pytest
+        path = OeisClient(cache_dir=tmp_path).seed_cache("5,5,5,5,5,5", "<html>503</html>")
+        proc = _cli_process("oeis", "5,5,5,5,5,5", "--cache-dir", str(tmp_path))
+        assert (proc.returncode, proc.stdout) == (7, b"")
+        warning, error = proc.stderr.decode().splitlines()
+        assert warning.startswith(f"warning: ignoring cache file {path} that does not parse")
+        assert error.startswith("error: ") and "disabled" in error
+        assert "cli.py:" not in proc.stderr.decode()
+        assert "client.lookup(" not in proc.stderr.decode()
+
     def test_cache_dir_that_is_a_file_exits_7(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "live_transport", lambda query: CENTRAL_BINOMIAL_RESPONSE)
         not_a_dir = tmp_path / "cache"
