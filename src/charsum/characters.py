@@ -6,7 +6,8 @@
    P(x) = (1+x)^(n-sum a_i) * T(x), T(x) = (1-x) prod(1 + x^a_i), where the
    a_i are the parts of the padded class other than 1.  P has degree n+1 and
    c_j = -c_{n+1-j}; for 0 <= j <= n/2, c_j is the character on (n-j, j).
-   It shares its kernel, ``polyring.binomial_convolution``, with the sums.
+   Its kernel, ``polyring.binomial_convolution``, also gives the sum B at
+   n = |mu0|; the other sums read half of a symmetric window (``charsums``).
    The hook shapes have the same kind of factor: the character of
    (n-k, 1^k) is the coefficient d_k of Q(x) = (1+x)^(n-sum a_i-1) * U(x),
    U(x) = prod(1 - (-x)^a_i), for 0 <= k < n (James-Kerber 1981, 2.7).

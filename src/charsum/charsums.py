@@ -13,11 +13,17 @@ c_j = -c_{n+1-j}; hence its divisor 2.  Since (1+x)^e is its own reversal,
 each norm is one coefficient of (1+x)^(2e) * f(x) f~(x) with f = T or U.
 That small polynomial f f~ is palindromic of degree 2 deg f, built once per
 (family, mu0) and cached; ``FAMILIES`` holds each family's factor, shift and
-divisor, and ``polyring.binomial_convolution``, shared with ``char_two_row``,
-is the kernel.  ``exact_ratio`` derives and checks R(n) = family(n) / C(2n, n).
+divisor.  ``exact_ratio`` derives and checks R(n) = family(n) / C(2n, n).
 
-When 2n-2-2*sum(a) < 0 (exactly the n = |mu0| edge) the binomial factor is
-read as a formal power series; the generalized binomial coefficients keep
+With m = n - h (see ``FAMILIES``) and top = deg f, both small and the row of
+(1+x)^(2m) are symmetric, so the sum reads half the window:
+c_top C(2m, m) + 2 sum_{s=1..min(top, m)} c_{top+s} C(2m, m+s), each
+C(2m, m+s) stepped exactly from the one before.  ``polyring.central_binomial``
+gives C(2m, m), stepped from the previous row's when a sweep moves m by one.
+
+When 2n-2-2*sum(a) < 0 (exactly the n = |mu0| edge, B's m = -1) the binomial
+factor is read as a formal power series by ``polyring.binomial_convolution``,
+the kernel ``char_two_row`` uses; the generalized binomial coefficients keep
 everything in integers.  The results are asserted to be non-negative
 integers, so a slip in a factor or the halving surfaces as a hard error
 instead of a wrong value.
@@ -38,11 +44,10 @@ from .partition import (
     Partition,
     check_mu0_n,
     companion_mu_prime,
-    make_partition,
     theorem_form_of,
     theorem_form_reason,
 )
-from .polyring import IntPoly, binomial_convolution, horner
+from .polyring import IntPoly, binomial_convolution, central_binomial, horner
 
 
 class InternalConsistencyError(RuntimeError):
@@ -78,7 +83,18 @@ def _family_sum(family: str, mu0: Partition, n: int) -> int:
     check_mu0_n(mu0, n)
     h, divisor, small = _family(family, mu0)
     m = n - h
-    c = binomial_convolution(small, 2 * m, m + len(small) // 2)
+    top = len(small) // 2
+    if m < 0:  # only B at n = |mu0|: (1+x)^(-2) read as a series
+        c = binomial_convolution(small, 2 * m, m + top)
+    else:
+        # small is palindromic and C(2m, m - s) = C(2m, m + s): read half the window
+        b = central = central_binomial(m)
+        half = 0
+        for s in range(1, min(top, m) + 1):
+            b = b * (m - s + 1) // (m + s)  # C(2m, m + s)
+            if small[top + s]:
+                half += small[top + s] * b
+        c = small[top] * central + 2 * half
     value, rem = divmod(c, divisor)
     if rem != 0 or value < 0:
         raise InternalConsistencyError(
@@ -98,19 +114,22 @@ def sum_B(mu0: Partition, n: int) -> int:
 
 
 def _bruteforce(mu0: Partition, n: int, shapes) -> int:
-    """Squared border-strip characters on mu0's padded class, summed over ``shapes``."""
+    """Squared border-strip characters on mu0's padded class, summed over ``shapes``,
+    each a non-increasing tuple."""
     cls = padded_class(mu0, n)
-    return sum(char_mn(make_partition(shape), cls) ** 2 for shape in shapes)
+    return sum(char_mn(Partition(shape), cls) ** 2 for shape in shapes)
 
 
 def sum_A_bruteforce(mu0: Partition, n: int) -> int:
     """A by definition: squared border-strip characters over (n-j, j)."""
-    return _bruteforce(mu0, n, ([p for p in (n - j, j) if p] for j in range(n // 2 + 1)))
+    one_row = (n,) if n else ()  # the empty shape at n = 0
+    return _bruteforce(mu0, n, ((n - j, j) if j else one_row for j in range(n // 2 + 1)))
 
 
 def sum_B_bruteforce(mu0: Partition, n: int) -> int:
     """B by definition: squared border-strip characters over (j, 1^(n-j))."""
-    return _bruteforce(mu0, n, ([j] + [1] * (n - j) for j in range(1, n + 1)))
+    ones = (1,) * n
+    return _bruteforce(mu0, n, ((j,) + ones[: n - j] for j in range(1, n + 1)))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ request, so it never waits.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -70,6 +69,8 @@ def default_cache_dir() -> Path:
 
 
 def cache_key(query: str) -> str:
+    import hashlib  # imported here: it loads OpenSSL, and only lookups need it
+
     return hashlib.sha256(query.encode("utf-8")).hexdigest()
 
 

@@ -6,6 +6,9 @@ anywhere.  ``binomial_coeff`` reads C(e, k) for any integer e,
 as the power-series coefficient of x^k in (1 + x)^e when e < 0,
 ``binomial_range`` gives a window of them for the price of one, and
 ``binomial_convolution`` reads [x^k] (1 + x)^e * small(x) off one window.
+``central_binomial`` gives C(2m, m) and keeps its last two values, so a
+sweep over consecutive m steps each one from its neighbour with one short
+multiply and divide instead of a fresh ``comb``.
 """
 
 from __future__ import annotations
@@ -100,3 +103,39 @@ def binomial_convolution(small: tuple[int, ...], e: int, target: int) -> int:
     """
     binoms = binomial_range(e, target - len(small) + 1, target)
     return sum(c * b for c, b in zip(small, reversed(binoms)) if c)
+
+
+# The last two (m, C(2m, m)) pairs ``central_binomial`` returned, newest first.
+# A sweep asks for neighbours of these: ``verify`` alternates A at m with B at
+# m - 1.  Each pair is consistent and the tuple is replaced as a whole, so a
+# concurrent caller may lose a kept pair but never reads a wrong value.
+_central: tuple[tuple[int, int], ...] = ()
+
+
+def central_binomial(m: int) -> int:
+    """C(2m, m) for m >= 0.
+
+    A request at m or m +- 1 of a kept pair is exact without a ``comb``:
+
+      C(2m + 2, m + 1) = C(2m, m) * 2(2m + 1) / (m + 1)
+      C(2m - 2, m - 1) = C(2m, m) * m / (2(2m - 1))
+
+    Any other m is seeded with one ``binomial_coeff(2m, m)``.
+    """
+    global _central
+    if m < 0:
+        raise ValueError(f"central_binomial needs m >= 0, got {m}")
+    for k, c in _central:
+        if k == m:
+            value = c
+            break
+        if k == m - 1:
+            value = c * 2 * (2 * k + 1) // m
+            break
+        if k == m + 1:
+            value = c * k // (2 * (2 * k - 1))
+            break
+    else:
+        value = binomial_coeff(2 * m, m)  # the module-level name, so wrappers see the call
+    _central = ((m, value),) + tuple(p for p in _central if p[0] != m)[:1]
+    return value

@@ -23,7 +23,7 @@ from charsum.partition import (
     make_partition,
     theorem_form_of,
 )
-from charsum.polyring import ONE_MINUS_X, IntPoly, binomial_coeff
+from charsum.polyring import ONE_MINUS_X, IntPoly, binomial_coeff, binomial_convolution
 from charsum.characters import char_two_row, hook_factor, two_row_factor
 
 
@@ -145,6 +145,37 @@ class TestKernelProperties:
         c = sum(v * comb(e, n + 1 - k) for k, v in small.items())
         assert c % 2 == 0
         assert sum_A(mu0, n) == -c // 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mu0=partitions_min_two(12),
+        family=st.sampled_from(sorted(FAMILIES)),
+        order=st.permutations(range(41)),
+    )
+    def test_half_window_equals_full_window(self, mu0, family, order):
+        # n from |mu0| (B's m = -1 row, then rows with m < top) upwards, in
+        # shuffled order so the kept central binomials differ from call to call
+        _, shift, divisor = FAMILIES[family]
+        small = _small_poly(family, mu0.parts)
+        value = sum_A if family == "A" else sum_B
+        for extra in order:
+            n = mu0.weight() + extra
+            m = n - mu0.weight() - shift
+            expected = binomial_convolution(small, 2 * m, m + len(small) // 2) // divisor
+            assert value(mu0, n) == expected, (n, m)
+
+    def test_a_sweep_seeds_at_most_two_binomials(self, monkeypatch):
+        # consecutive rows step the central binomial instead of a fresh comb each
+        import charsum.polyring as polyring
+
+        calls = []
+        original = polyring.binomial_coeff
+        monkeypatch.setattr(
+            polyring, "binomial_coeff", lambda e, k: calls.append((e, k)) or original(e, k)
+        )
+        report = verify_theorem(make_partition([5, 3, 2]), 3000, 3020)
+        assert report.all_hold and len(report.rows) == 21
+        assert len(calls) <= 2, calls
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_small_poly_is_palindromic_of_odd_length(self, family):

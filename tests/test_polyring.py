@@ -4,13 +4,21 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from math import comb
 from itertools import zip_longest
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from charsum.polyring import ONE_MINUS_X, IntPoly, binomial_coeff, binomial_convolution, binomial_range
+from charsum.polyring import (
+    ONE_MINUS_X,
+    IntPoly,
+    binomial_coeff,
+    binomial_convolution,
+    binomial_range,
+    central_binomial,
+)
 
 
 def convolve_oracle(a, b):
@@ -137,6 +145,55 @@ class TestBinomialConvolution:
     def test_matches_the_series_product(self, small, e, target):
         expected = sum(c * binomial_coeff(e, target - k) for k, c in enumerate(small))
         assert binomial_convolution(tuple(small), e, target) == expected
+
+
+# one move of a walk over m: a step of -1, 0 or +1, a jump, or a return to m = 0
+walk_moves = st.one_of(
+    st.sampled_from([("step", -1), ("step", 0), ("step", 1)]),
+    st.tuples(st.just("jump"), st.integers(0, 400)),
+    st.just(("jump", 0)),
+)
+
+
+class TestCentralBinomial:
+    @given(start=st.integers(0, 400), moves=st.lists(walk_moves, max_size=40))
+    def test_matches_comb_along_walks(self, start, moves):
+        # +-1 walks step from a kept pair; jumps seed afresh
+        m = start
+        assert central_binomial(m) == comb(2 * m, m)
+        for kind, arg in moves:
+            m = max(0, m + arg) if kind == "step" else arg
+            assert central_binomial(m) == comb(2 * m, m), m
+
+    def test_threads_sharing_the_kept_pairs_read_exact_values(self):
+        # concurrent walks overwrite each other's kept pairs; every value must
+        # still be exact
+        import sys
+        import threading
+
+        errors = []
+
+        def walk(start):
+            for m in list(range(start, start + 60)) + list(range(start + 60, start, -1)):
+                if central_binomial(m) != comb(2 * m, m):
+                    errors.append(m)
+
+        threads = [threading.Thread(target=walk, args=(100 * i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_negative_m_rejected(self):
+        with pytest.raises(ValueError):
+            central_binomial(-1)
 
 
 class TestBinomialSeries:
