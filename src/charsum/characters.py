@@ -6,11 +6,13 @@
    P(x) = (1+x)^(n-sum a_i) * T(x), T(x) = (1-x) prod(1 + x^a_i), where the
    a_i are the parts of the padded class other than 1.  P has degree n+1 and
    c_j = -c_{n+1-j}; for 0 <= j <= n/2, c_j is the character on (n-j, j).
-   Its kernel, ``polyring.binomial_convolution``, also gives the sum B at
-   n = |mu0|; the other sums read half of a symmetric window (``charsums``).
-   The hook shapes have the same kind of factor: the character of
-   (n-k, 1^k) is the coefficient d_k of Q(x) = (1+x)^(n-sum a_i-1) * U(x),
-   U(x) = prod(1 - (-x)^a_i), for 0 <= k < n (James-Kerber 1981, 2.7).
+   Its kernel is ``polyring.binomial_convolution``.  The hook shapes have
+   the same kind of factor: the character of (n-k, 1^k), 0 <= k < n, is the
+   coefficient d_k of (1+x)^(n-sum a_i) * V(x), V the ``hook_factor``
+   (James-Kerber 1981, 2.7, give (1+x)^(n-sum a_i-1) prod(1 - (-x)^a_i);
+   every factor vanishes at x = -1, so V = prod(1 - (-x)^a_i) / (1+x) is a
+   polynomial).  The class 1^n has no factor and peels one of its 1s
+   instead: V = 1, d_k = C(n-1, k).
 3. ``char_mn``: Murnaghan-Nakayama on the Maya diagram, the independent
    oracle for the other two and for the sums.  Row i of the shape puts a
    bead at lambda_i - i (i >= 1, lambda_i = 0 past the last row), so far
@@ -104,11 +106,12 @@ def two_row_factor(parts: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def hook_factor(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficients of U(x) = prod_i (1 - (-x)^{a_i}) for the parts a_i."""
-    u = IntPoly((1,))
-    for a in parts:
-        u = u * IntPoly([1] + [0] * (a - 1) + [-((-1) ** a)])
-    return u.coeffs
+    """Coefficients of V(x) = prod_i (1 - (-x)^{a_i}) / (1+x), or 1 for no parts."""
+    # the first factor over 1+x is sum_{k<a_1} (-x)^k
+    v = IntPoly([(-1) ** k for k in range(parts[0])] if parts else (1,))
+    for a in parts[1:]:
+        v = v * IntPoly([1] + [0] * (a - 1) + [-((-1) ** a)])
+    return v.coeffs
 
 
 def char_two_row(n: int, j: int, mu0: Partition) -> int:

@@ -4,32 +4,30 @@ Each family's characters are the coefficients of one polynomial, so its sum
 is a squared norm.  With mu0 = (a_1,...,a_r) (smallest part >= 2), n >= |mu0|
 and ||g||^2 = [x^deg g] g(x) g~(x), g~(x) = x^(deg g) g(1/x):
 
-  two-rowed  A(mu0)(n) = 1/2 ||(1+x)^(n-sum a) T(x)||^2,    T(x) = (1-x) prod (1+x^{a_i})
-  hook       B(mu0)(n) =     ||(1+x)^(n-sum a-1) U(x)||^2,  U(x) = prod (1-(-x)^{a_i})
+  two-rowed  A(mu0)(n) = 1/2 ||(1+x)^(n-sum a) T(x)||^2,  T(x) = (1-x) prod (1+x^{a_i})
+  hook       B(mu0)(n) =     ||(1+x)^(n-sum a) V(x)||^2,  V(x) = prod (1-(-x)^{a_i}) / (1+x)
 
-(``characters`` says which coefficient is which character.)  A's norm
+except that B of the empty class has V = 1 and exponent n-1 (``characters``
+says which coefficient is which character).  A's norm
 counts each character twice, because the two-row polynomial P has
 c_j = -c_{n+1-j}; hence its divisor 2.  Since (1+x)^e is its own reversal,
-each norm is one coefficient of (1+x)^(2e) * f(x) f~(x) with f = T or U.
+each norm is one coefficient of (1+x)^(2e) * f(x) f~(x) with f = T or V.
 That small polynomial f f~ is palindromic of degree 2 deg f, built once per
-(family, mu0) and cached; ``FAMILIES`` holds each family's factor, shift and
+(family, mu0) and cached; ``FAMILIES`` holds each family's factor and
 divisor.  ``exact_ratio`` derives and checks R(n) = family(n) / C(2n, n).
 
-With m = n - h (see ``FAMILIES``) and top = deg f, both small and the row of
+With m = n - h (see ``_family``) and top = deg f, both small and the row of
 (1+x)^(2m) are symmetric, so the sum reads half the window:
 c_top C(2m, m) + 2 sum_{s=1..min(top, m)} c_{top+s} C(2m, m+s), each
 C(2m, m+s) stepped exactly from the one before.  ``polyring.central_binomial``
 gives C(2m, m), stepped from the previous row's when a sweep moves m by one.
 
-When 2n-2-2*sum(a) < 0 (exactly the n = |mu0| edge, B's m = -1) the binomial
-factor is read as a formal power series by ``polyring.binomial_convolution``,
-the kernel ``char_two_row`` uses; the generalized binomial coefficients keep
-everything in integers.  The results are asserted to be non-negative
-integers, so a slip in a factor or the halving surfaces as a hard error
-instead of a wrong value.
+The results are asserted to be non-negative integers, so a slip in a
+factor or the halving surfaces as a hard error instead of a wrong value.
 
 ``verify_theorem`` checks 2*A(mu0)(n) = B(mu0')(n+2) over an n-range for a
-partition in theorem form, mu0' its companion.
+partition in theorem form, mu0' its companion.  The theorem is
+V(mu0') = T(mu0): both sides read one coefficient of one row, at one m.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from .partition import (
     theorem_form_of,
     theorem_form_reason,
 )
-from .polyring import IntPoly, binomial_convolution, central_binomial, horner
+from .polyring import IntPoly, central_binomial, horner
 
 
 class InternalConsistencyError(RuntimeError):
@@ -58,9 +56,9 @@ class InternalConsistencyError(RuntimeError):
 # with K = 16 touches about 600.
 SMALL_POLY_CACHE_SIZE = 1024
 
-# family -> (factor, h - |mu0|, divisor): with m = n - h, f = factor(mu0) and small(x) =
-# f(x) f~(x), the family's sum at n is [x^(m + deg f)] (1+x)^(2m) small(x) / divisor.
-FAMILIES = {"A": (two_row_factor, 0, 2), "B": (hook_factor, 1, 1)}
+# family -> (factor, divisor): with m = n - h, f = factor(mu0) and small(x) = f(x) f~(x),
+# the family's sum at n is [x^(m + deg f)] (1+x)^(2m) small(x) / divisor.
+FAMILIES = {"A": (two_row_factor, 2), "B": (hook_factor, 1)}
 
 
 @lru_cache(maxsize=SMALL_POLY_CACHE_SIZE)
@@ -74,8 +72,10 @@ def _family(family: str, mu0: Partition) -> tuple[int, int, tuple[int, ...]]:
     """(h, divisor, small) of ``FAMILIES`` for the family at mu0."""
     if family not in FAMILIES:
         raise ValueError(f"family must be 'A' or 'B', got {family!r}")
-    _, shift, divisor = FAMILIES[family]
-    return mu0.weight() + shift, divisor, _small_poly(family, mu0.parts)
+    h = mu0.weight()
+    if family == "B" and not h:
+        h = 1  # the class 1^n peels one of its 1s (see ``characters``)
+    return h, FAMILIES[family][1], _small_poly(family, mu0.parts)
 
 
 def _family_sum(family: str, mu0: Partition, n: int) -> int:
@@ -83,18 +83,17 @@ def _family_sum(family: str, mu0: Partition, n: int) -> int:
     check_mu0_n(mu0, n)
     h, divisor, small = _family(family, mu0)
     m = n - h
+    if m < 0:  # only B of the empty class at n = 0: no hook has 0 cells
+        return 0
     top = len(small) // 2
-    if m < 0:  # only B at n = |mu0|: (1+x)^(-2) read as a series
-        c = binomial_convolution(small, 2 * m, m + top)
-    else:
-        # small is palindromic and C(2m, m - s) = C(2m, m + s): read half the window
-        b = central = central_binomial(m)
-        half = 0
-        for s in range(1, min(top, m) + 1):
-            b = b * (m - s + 1) // (m + s)  # C(2m, m + s)
-            if small[top + s]:
-                half += small[top + s] * b
-        c = small[top] * central + 2 * half
+    # small is palindromic and C(2m, m - s) = C(2m, m + s): read half the window
+    b = central = central_binomial(m)
+    half = 0
+    for s in range(1, min(top, m) + 1):
+        b = b * (m - s + 1) // (m + s)  # C(2m, m + s)
+        if small[top + s]:
+            half += small[top + s] * b
+    c = small[top] * central + 2 * half
     value, rem = divmod(c, divisor)
     if rem != 0 or value < 0:
         raise InternalConsistencyError(

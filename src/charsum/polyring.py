@@ -2,11 +2,11 @@
 
 ``IntPoly`` is a dense coefficient tuple with classical convolution, and
 ``horner`` evaluates a coefficient list at a point; no floating point
-anywhere.  ``binomial_coeff`` reads C(e, k) for any integer e,
-as the power-series coefficient of x^k in (1 + x)^e when e < 0,
+anywhere.  ``binomial_coeff`` is C(e, k) for e >= 0,
 ``binomial_range`` gives a window of them for the price of one, and
 ``binomial_convolution`` reads [x^k] (1 + x)^e * small(x) off one window.
-``central_binomial`` gives C(2m, m) and keeps its last two values, so a
+A negative exponent raises ValueError: no sum or character needs one.
+``central_binomial`` gives C(2m, m) and keeps its last value, so a
 sweep over consecutive m steps each one from its neighbour with one short
 multiply and divide instead of a fresh ``comb``.
 """
@@ -61,30 +61,22 @@ def horner(cs, x):
 
 
 def binomial_coeff(e: int, k: int) -> int:
-    """Generalized binomial C(e, k) for any integer e and k >= 0.
-
-    For e < 0 this is the power-series coefficient of x^k in (1 + x)^e,
-    namely (-1)^k * C(k - e - 1, k); always an integer.
-    """
-    if k < 0:
-        return 0
-    if e >= 0:
-        return comb(e, k)
-    sign = -1 if k % 2 else 1
-    return sign * comb(k - e - 1, k)
+    """C(e, k) for e >= 0; 0 when k < 0 or k > e."""
+    return comb(e, k) if k >= 0 else 0
 
 
 def binomial_range(e: int, lo: int, hi: int) -> list[int]:
-    """[C(e, j) for j in lo..hi], generalized as in ``binomial_coeff``.
+    """[C(e, j) for j in lo..hi], e >= 0.
 
     One ``binomial_coeff`` call gives the highest nonzero entry; the rest come
     from the exact step C(e, j-1) = C(e, j) * j / (e - j + 1), whose divisor
-    is never zero: j <= e when e >= 0, and e - j + 1 < 0 when e < 0.  On
-    n-digit values each step costs a short multiply and divide instead of a
-    fresh ``comb``.
+    is never zero since j <= e.  On n-digit values each step costs a short
+    multiply and divide instead of a fresh ``comb``.
     """
+    if e < 0:
+        raise ValueError(f"binomial exponent must be >= 0, got {e}")
     out = [0] * (hi - lo + 1)
-    top = hi if e < 0 else min(hi, e)  # for e >= 0, C(e, j) = 0 when j > e
+    top = min(hi, e)  # C(e, j) = 0 when j > e
     if top < max(lo, 0):
         return out
     c = binomial_coeff(e, top)
@@ -96,26 +88,28 @@ def binomial_range(e: int, lo: int, hi: int) -> list[int]:
 
 
 def binomial_convolution(small: tuple[int, ...], e: int, target: int) -> int:
-    """[x^target] (1+x)^e * small(x), with (1+x)^e read as a binomial series.
+    """[x^target] (1+x)^e * small(x) for e >= 0.
 
-    ``small`` (coefficients from x^0 up) has no negative exponents, so series
-    terms beyond x^target never contribute: only len(small) binomials are read.
+    ``small`` (coefficients from x^0 up) has no negative exponents, so terms
+    of (1+x)^e beyond x^target never contribute: only len(small) binomials
+    are read.
     """
     binoms = binomial_range(e, target - len(small) + 1, target)
     return sum(c * b for c, b in zip(small, reversed(binoms)) if c)
 
 
-# The last two (m, C(2m, m)) pairs ``central_binomial`` returned, newest first.
-# A sweep asks for neighbours of these: ``verify`` alternates A at m with B at
-# m - 1.  Each pair is consistent and the tuple is replaced as a whole, so a
-# concurrent caller may lose a kept pair but never reads a wrong value.
-_central: tuple[tuple[int, int], ...] = ()
+# The last (m, C(2m, m)) pair ``central_binomial`` returned, from C(0, 0) = 1.
+# A sweep asks for its neighbours: a ``verify`` row reads A and B at one m,
+# the next row at m + 1.  The pair is read and replaced as a whole, so a
+# concurrent caller may step from another caller's pair but never reads a
+# wrong value.
+_central = (0, 1)
 
 
 def central_binomial(m: int) -> int:
     """C(2m, m) for m >= 0.
 
-    A request at m or m +- 1 of a kept pair is exact without a ``comb``:
+    A request at the kept m or m +- 1 is exact without a ``comb``:
 
       C(2m + 2, m + 1) = C(2m, m) * 2(2m + 1) / (m + 1)
       C(2m - 2, m - 1) = C(2m, m) * m / (2(2m - 1))
@@ -125,17 +119,14 @@ def central_binomial(m: int) -> int:
     global _central
     if m < 0:
         raise ValueError(f"central_binomial needs m >= 0, got {m}")
-    for k, c in _central:
-        if k == m:
-            value = c
-            break
-        if k == m - 1:
-            value = c * 2 * (2 * k + 1) // m
-            break
-        if k == m + 1:
-            value = c * k // (2 * (2 * k - 1))
-            break
+    k, c = _central
+    if k == m:
+        value = c
+    elif k == m - 1:
+        value = c * 2 * (2 * k + 1) // m
+    elif k == m + 1:
+        value = c * k // (2 * (2 * k - 1))
     else:
         value = binomial_coeff(2 * m, m)  # the module-level name, so wrappers see the call
-    _central = ((m, value),) + tuple(p for p in _central if p[0] != m)[:1]
+    _central = (m, value)
     return value

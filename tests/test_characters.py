@@ -21,7 +21,7 @@ from charsum.characters import (
 )
 from charsum.charsums import sum_A, sum_B
 from charsum.partition import Partition, enumerate_partitions, make_partition
-from charsum.polyring import ONE_MINUS_X, IntPoly, binomial_coeff, binomial_convolution
+from charsum.polyring import ONE_MINUS_X, IntPoly, binomial_coeff
 
 
 class TestCharCt:
@@ -224,17 +224,20 @@ class TestHookFactor:
     @settings(max_examples=120, deadline=None)
     @given(st.sampled_from([mu0 for mu0 in MU0_UP_TO_10 if mu0.weight() <= 8]), st.integers(0, 6))
     def test_coefficients_are_the_hook_characters(self, mu0, excess):
-        # Q = (1+x)^(n-|mu0|-1) U(x); at n = |mu0| the exponent is -1
-        n = mu0.weight() + excess
+        # (1+x)^(n-h) V(x) with h = |mu0|, and h = 1 for the class 1^n: from
+        # n = |mu0| up, the exponent is never negative
+        h = mu0.weight() or 1
+        n = h + excess
         cls = padded_class(mu0, n)
-        ds = [binomial_convolution(hook_factor(mu0.parts), excess - 1, k) for k in range(n)]
-        assert ds == [char_mn(make_partition([n - k] + [1] * k), cls) for k in range(n)]
-        assert sum(d * d for d in ds) == sum_B(mu0, n)
+        q = IntPoly(comb(excess, k) for k in range(excess + 1)) * IntPoly(hook_factor(mu0.parts))
+        assert list(q.coeffs) == [char_mn(make_partition([n - k] + [1] * k), cls) for k in range(n)]
+        assert sum(d * d for d in q.coeffs) == sum_B(mu0, n)
 
     def test_examples(self):
         assert hook_factor(()) == (1,)
-        assert hook_factor((2,)) == (1, 0, -1)
-        assert hook_factor((3, 2)) == (1, 0, -1, 1, 0, -1)
+        assert hook_factor((2,)) == (1, -1)
+        assert hook_factor((3, 2)) == (IntPoly((1, -1, 1)) * IntPoly((1, 0, -1))).coeffs
+        assert sum_B(Partition(), 0) == 0  # no hook has 0 cells
 
 
 class TestCharTwoRow:

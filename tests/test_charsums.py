@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from charsum.charsums import (
     FAMILIES,
     InternalConsistencyError,
-    _small_poly,
+    _family,
     sum_A,
     sum_A_bruteforce,
     sum_B,
@@ -153,16 +153,16 @@ class TestKernelProperties:
         order=st.permutations(range(41)),
     )
     def test_half_window_equals_full_window(self, mu0, family, order):
-        # n from |mu0| (B's m = -1 row, then rows with m < top) upwards, in
-        # shuffled order so the kept central binomials differ from call to call
-        _, shift, divisor = FAMILIES[family]
-        small = _small_poly(family, mu0.parts)
+        # n from |mu0| (rows with m < top first) upwards, in shuffled order so
+        # the kept central binomials differ from call to call; m < 0 only for B
+        # of the empty class at n = 0, which has no hooks
+        h, divisor, small = _family(family, mu0)
         value = sum_A if family == "A" else sum_B
         for extra in order:
             n = mu0.weight() + extra
-            m = n - mu0.weight() - shift
-            expected = binomial_convolution(small, 2 * m, m + len(small) // 2) // divisor
-            assert value(mu0, n) == expected, (n, m)
+            m = n - h
+            expected = binomial_convolution(small, 2 * m, m + len(small) // 2) if m >= 0 else 0
+            assert value(mu0, n) == expected // divisor, (n, m)
 
     def test_a_sweep_seeds_at_most_two_binomials(self, monkeypatch):
         # consecutive rows step the central binomial instead of a fresh comb each
@@ -181,7 +181,7 @@ class TestKernelProperties:
     def test_small_poly_is_palindromic_of_odd_length(self, family):
         for w in range(13):
             for mu0 in enumerate_partitions(w, 2):
-                small = _small_poly(family, mu0.parts)
+                _, _, small = _family(family, mu0)
                 assert len(small) % 2 == 1 and small == small[::-1], mu0
 
 
@@ -252,7 +252,7 @@ class TestProofStepIdentities:
                 assert lhs == rhs, (t, e)
 
     def test_theorem_is_one_polynomial_identity(self):
-        # U(mu0') = (1+x) T(mu0) for every theorem-form mu0, mu0' its companion
+        # V(mu0') = T(mu0) for every theorem-form mu0, mu0' its companion
         forms = [
             (mu0, form)
             for w in range(21)
@@ -261,11 +261,10 @@ class TestProofStepIdentities:
         ]
         assert len(forms) == 136
         for mu0, form in forms:
-            expected = IntPoly((1, 1)) * IntPoly(two_row_factor(mu0.parts))
-            assert hook_factor(companion_mu_prime(form).parts) == expected.coeffs, mu0
+            assert hook_factor(companion_mu_prime(form).parts) == two_row_factor(mu0.parts), mu0
 
     def test_only_the_companion_satisfies_the_identity(self):
-        # among nu of weight |mu0| + 2, U(nu) = (1+x) T(mu0) picks out exactly the
+        # among nu of weight |mu0| + 2, V(nu) = T(mu0) picks out exactly the
         # companion, and no nu at all when mu0 is not theorem form
         pairs = 0
         for w in range(13):
@@ -273,10 +272,9 @@ class TestProofStepIdentities:
             for nu in enumerate_partitions(w + 2, 2):
                 by_factor.setdefault(hook_factor(nu.parts), []).append(nu)
             for mu0 in enumerate_partitions(w, 2):
-                target = (IntPoly((1, 1)) * IntPoly(two_row_factor(mu0.parts))).coeffs
                 form = theorem_form_of(mu0)
                 expected = [] if form is None else [companion_mu_prime(form)]
-                assert by_factor.get(target, []) == expected, mu0
+                assert by_factor.get(two_row_factor(mu0.parts), []) == expected, mu0
                 pairs += len(expected)
         assert pairs == 29
 

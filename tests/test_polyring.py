@@ -1,4 +1,4 @@
-"""Exact polynomial products and generalized binomial coefficients."""
+"""Exact polynomial products and binomial coefficients."""
 
 import copy
 import pickle
@@ -39,7 +39,7 @@ def pascal_row_oracle(e):
     return row
 
 
-def generalized_binomial_oracle(e, k):
+def falling_factorial_oracle(e, k):
     """C(e, k) = e(e-1)...(e-k+1)/k! via exact rationals."""
     num = Fraction(1)
     for i in range(k):
@@ -113,7 +113,7 @@ class TestCoeff:
 
 class TestBinomialRange:
     @given(
-        e=st.integers(-60, 400),
+        e=st.integers(0, 400),
         lo=st.integers(-20, 420),
         width=st.integers(0, 40),
     )
@@ -135,11 +135,38 @@ class TestBinomialRange:
         ]
         assert calls == [(3000, 1502)]
 
+    def test_truncated_positive(self):
+        assert binomial_range(2, 0, 1) == [1, 2]
+
+    def test_exponent_zero(self):
+        assert binomial_range(0, 0, 5) == [1, 0, 0, 0, 0, 0]
+
+    def test_against_fraction_product_oracle(self):
+        for e in range(9):
+            for k in range(12):
+                assert binomial_coeff(e, k) == falling_factorial_oracle(e, k)
+
+    def test_agrees_with_poly_pow_for_nonnegative(self):
+        power = IntPoly((1,))
+        for e in range(7):
+            assert binomial_range(e, 0, 10) == list(power.coeffs) + [0] * (10 - power.degree)
+            assert binomial_range(e, 0, e) == pascal_row_oracle(e)
+            power = power * IntPoly((1, 1))
+
+    def test_negative_exponent_raises(self):
+        # (1+x)^e with e < 0 is a power series, which no caller reads
+        with pytest.raises(ValueError):
+            binomial_coeff(-2, 1)
+        with pytest.raises(ValueError):
+            binomial_range(-2, 0, 3)
+        with pytest.raises(ValueError):
+            binomial_convolution((1,), -2, 1)
+
 
 class TestBinomialConvolution:
     @given(
         small=st.lists(st.integers(-3, 3), max_size=12),
-        e=st.integers(-30, 60),
+        e=st.integers(0, 60),
         target=st.integers(0, 80),
     )
     def test_matches_the_series_product(self, small, e, target):
@@ -158,7 +185,7 @@ walk_moves = st.one_of(
 class TestCentralBinomial:
     @given(start=st.integers(0, 400), moves=st.lists(walk_moves, max_size=40))
     def test_matches_comb_along_walks(self, start, moves):
-        # +-1 walks step from a kept pair; jumps seed afresh
+        # +-1 walks step from the kept pair; jumps seed afresh
         m = start
         assert central_binomial(m) == comb(2 * m, m)
         for kind, arg in moves:
@@ -166,7 +193,7 @@ class TestCentralBinomial:
             assert central_binomial(m) == comb(2 * m, m), m
 
     def test_threads_sharing_the_kept_pairs_read_exact_values(self):
-        # concurrent walks overwrite each other's kept pairs; every value must
+        # concurrent walks overwrite each other's kept pair; every value must
         # still be exact
         import sys
         import threading
@@ -194,35 +221,3 @@ class TestCentralBinomial:
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
             central_binomial(-1)
-
-
-class TestBinomialSeries:
-    """binomial_range reads (1 + x)^e as a power series when e < 0."""
-
-    def test_negative_two(self):
-        assert binomial_range(-2, 0, 3) == [1, -2, 3, -4]
-
-    def test_truncated_positive(self):
-        assert binomial_range(2, 0, 1) == [1, 2]
-
-    def test_exponent_zero(self):
-        assert binomial_range(0, 0, 5) == [1, 0, 0, 0, 0, 0]
-
-    def test_against_fraction_product_oracle(self):
-        for e in range(-8, 9):
-            for k in range(12):
-                assert binomial_coeff(e, k) == generalized_binomial_oracle(e, k)
-
-    def test_agrees_with_poly_pow_for_nonnegative(self):
-        power = IntPoly((1,))
-        for e in range(7):
-            assert binomial_range(e, 0, 10) == list(power.coeffs) + [0] * (10 - power.degree)
-            assert binomial_range(e, 0, e) == pascal_row_oracle(e)
-            power = power * IntPoly((1, 1))
-
-    def test_inverse_pairs_multiply_to_one(self):
-        # the truncated series product of (1+x)^e and (1+x)^-e is exactly 1
-        for e in range(-6, 7):
-            a, b = binomial_range(e, 0, 40), binomial_range(-e, 0, 40)
-            prod = [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(41)]
-            assert prod == [1] + [0] * 40
