@@ -32,10 +32,9 @@ V(mu0') = T(mu0): both sides read one coefficient of one row, at one m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
-from typing import Optional
 
 from .characters import char_mn, hook_factor, padded_class, two_row_factor
 from .partition import (
@@ -131,13 +130,11 @@ def sum_B_bruteforce(mu0: Partition, n: int) -> int:
     return _bruteforce(mu0, n, ((j,) + ones[: n - j] for j in range(1, n + 1)))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Per-n evidence for 2*A(mu0)(n) = B(mu0')(n+2)."""
+class VerificationReport(namedtuple("VerificationReport", "mu0 mu0_prime rows")):
+    """Per-n evidence for 2*A(mu0)(n) = B(mu0')(n+2); ``rows`` holds
+    (n, A(n), B(n+2)) tuples."""
 
-    mu0: Partition
-    mu0_prime: Partition
-    rows: tuple[tuple[int, int, int], ...]  # (n, A(n), B(n+2))
+    __slots__ = ()
 
     @property
     def all_hold(self) -> bool:
@@ -156,7 +153,7 @@ def verify_theorem(mu0: Partition, n_lo: int, n_hi: int) -> VerificationReport:
     return VerificationReport(mu0, mu0p, rows)
 
 
-def _divide_linear(cs: tuple[int, ...], a: int, b: int) -> Optional[list[int]]:
+def _divide_linear(cs: tuple[int, ...], a: int, b: int) -> list[int] | None:
     """The integer quotient of sum cs[k] n^k by a*n + b, or None if it leaves a
     remainder.  With gcd(a, b) = 1, Gauss's lemma makes every step an exact
     integer division whenever a*n + b divides the polynomial over Q.

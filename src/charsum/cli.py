@@ -21,7 +21,7 @@ Exit codes:
   141  stdout was closed before the output was written (128 + SIGPIPE)
 
 Each command raises and ``main`` maps the exception to its code through
-``EXIT_CODES``, printing one ``error:`` line to stderr.  Code 6 is unused.
+``exit_codes()``, printing one ``error:`` line to stderr.  Code 6 is unused.
 A warning the library raises on the way (a cache file that does not parse,
 say) is printed as one ``warning:`` line, without Python's source location.
 """
@@ -29,15 +29,11 @@ say) is printed as one ``warning:`` line, without Python's source location.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
-from dataclasses import asdict
-from fractions import Fraction
+from collections.abc import Iterable
 from itertools import chain
-from pathlib import Path
-from typing import Iterable, Optional
 
 from .characters import ROUTES, RowCapExceeded
 from .charsums import (
@@ -48,9 +44,12 @@ from .charsums import (
     sum_B_bruteforce,
     verify_theorem,
 )
-from .discovery import DEFAULT_SEARCH_WINDOW, SearchError, fit_closed_form, search_pairs
-from .oeis import OeisClient, OeisError, live_transport, offline_transport
 from .partition import PartitionFormatError, format_partition, parse_partition
+
+# ``discovery`` (which loads ``fractions``), ``oeis`` and ``json`` are imported
+# inside the commands that use them, so a ``sum``, ``verify`` or ``char`` run
+# starts without them.  Such an import reads the names when the command runs,
+# so a wrapper bound to the module attribute (a test's monkeypatch) is seen.
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -66,19 +65,27 @@ class UsageError(Exception):
     """A malformed range or value list on the command line."""
 
 
-# The exit code of each exception a command may raise, and the error line it
-# prints (None: the exception's own message).  The first class that matches
-# wins, so every subclass of ValueError comes before ValueError.
-EXIT_CODES: tuple[tuple[type[Exception], int, Optional[str]], ...] = (
-    (PartitionFormatError, EXIT_USAGE, None),
-    (UsageError, EXIT_USAGE, None),
-    (InternalConsistencyError, EXIT_MISMATCH, None),
-    (SearchError, EXIT_SEARCH, None),
-    (OeisError, EXIT_NETWORK, None),
-    (ValueError, EXIT_PRECONDITION, None),
-    # the border-strip oracle recurses once per part >= 2 of the class
-    (RecursionError, EXIT_PRECONDITION, "the class has too many parts >= 2 for the border-strip oracle"),
-)
+def exit_codes() -> tuple[tuple[type[Exception], int, str | None], ...]:
+    """The exit code of each exception a command may raise, and the error line
+    it prints (None: the exception's own message).
+
+    The first class that matches wins, so every subclass of ValueError comes
+    before ValueError.  ``main`` reads the table only when a command raises;
+    it imports ``discovery`` and ``oeis`` for their error classes then.
+    """
+    from .discovery import SearchError
+    from .oeis import OeisError
+
+    return (
+        (PartitionFormatError, EXIT_USAGE, None),
+        (UsageError, EXIT_USAGE, None),
+        (InternalConsistencyError, EXIT_MISMATCH, None),
+        (SearchError, EXIT_SEARCH, None),
+        (OeisError, EXIT_NETWORK, None),
+        (ValueError, EXIT_PRECONDITION, None),
+        # the border-strip oracle recurses once per part >= 2 of the class
+        (RecursionError, EXIT_PRECONDITION, "the class has too many parts >= 2 for the border-strip oracle"),
+    )
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -125,6 +132,8 @@ def _emit(fmt: str, record: dict, plain: Iterable[str]) -> None:
     of ``record["rows"]`` and ``plain`` is read, so both may draw on one iterator.
     """
     if fmt == "json":
+        import json
+
         if "rows" in record:
             record = {**record, "rows": list(record["rows"])}
         print(json.dumps(record))
@@ -201,13 +210,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_hold else EXIT_VERIFY_FAILED
 
 
-def _fraction(q: Fraction) -> str:
+def _fraction(q) -> str:
     """An exact rational as JSON prints it: "p/q", also when q is 1."""
     return f"{q.numerator}/{q.denominator}"
 
 
 def cmd_search(args) -> int:
-    for pair in search_pairs(args.K, args.window):
+    import json
+
+    from .discovery import DEFAULT_SEARCH_WINDOW, search_pairs
+
+    window = DEFAULT_SEARCH_WINDOW if args.window is None else args.window
+    for pair in search_pairs(args.K, window):
         record = {
             "mu0": format_partition(pair.mu0),
             "mu0_prime": format_partition(pair.mu0_prime),
@@ -220,6 +234,10 @@ def cmd_search(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    import json
+
+    from .discovery import fit_closed_form
+
     mu0 = parse_partition(args.mu0)
     fn = fit_closed_form(mu0, args.family)
     record = {
@@ -234,12 +252,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_oeis(args) -> int:
+    from .oeis import OeisClient, live_transport, offline_transport
+
     values = _parse_values(args.values)
     transport = live_transport if args.live else offline_transport
-    cache_dir = Path(args.cache_dir) if args.cache_dir else None
-    client = OeisClient(transport=transport, cache_dir=cache_dir)
+    client = OeisClient(transport=transport, cache_dir=args.cache_dir or None)
     matches = client.lookup(values, max_results=args.max_results)
-    record = {"query": ",".join(str(v) for v in values), "matches": [asdict(m) for m in matches]}
+    record = {"query": ",".join(str(v) for v in values), "matches": [m._asdict() for m in matches]}
     _emit(args.format, record, (f"{m.sequence_id} {m.name}" for m in matches))
     return EXIT_OK
 
@@ -276,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="find constant-ratio pairs (JSON lines)")
     p.add_argument("--K", type=int, required=True, help="max weight of mu0")
-    p.add_argument("--window", type=int, default=DEFAULT_SEARCH_WINDOW)
+    # None: discovery.DEFAULT_SEARCH_WINDOW, read when the command runs
+    p.add_argument("--window", type=int, default=None)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("fit", help="fit family(n) = C(2n,n) * R(n), R rational")
@@ -299,7 +319,7 @@ def _warning_line(message, category, filename, lineno, line=None) -> str:
     return f"warning: {message}\n"
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # Exact values outgrow CPython's default 4300-digit int<->str limit (A(3)(n)
     # near n = 7150); lift it for this call only, so importing changes nothing.
@@ -311,10 +331,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     saved_format, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.func(args)
-    except tuple(cls for cls, _, _ in EXIT_CODES) as exc:
-        code, message = next((code, msg) for cls, code, msg in EXIT_CODES if isinstance(exc, cls))
-        print(f"error: {message or exc}", file=sys.stderr)
-        return code
+    except Exception as exc:
+        for cls, code, message in exit_codes():
+            if isinstance(exc, cls):
+                print(f"error: {message or exc}", file=sys.stderr)
+                return code
+        raise
     finally:
         warnings.formatwarning = saved_format
         if limited:

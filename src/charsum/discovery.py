@@ -14,10 +14,9 @@ family(n) = C(2n, n) * R(n) that ``charsums.exact_ratio`` derives and checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import Optional
 
 from .charsums import InternalConsistencyError, exact_ratio, sum_A, sum_B
 from .partition import (
@@ -37,21 +36,17 @@ class SearchError(ValueError):
     """Search parameters out of range: K < 2 or window < MIN_RATIO_WINDOW."""
 
 
-@dataclass(frozen=True)
-class TheoremPair:
+class TheoremPair(
+    namedtuple("TheoremPair", "mu0 mu0_prime ratio n_lo n_hi theorem_predicted")
+):
     """A pair with constant A/B ratio over the inclusive window [n_lo, n_hi]."""
 
-    mu0: Partition
-    mu0_prime: Partition
-    ratio: Fraction
-    n_lo: int
-    n_hi: int
-    theorem_predicted: bool
+    __slots__ = ()
 
 
 def ratio_test(
     mu0: Partition, mu0p: Partition, n_lo: int, n_hi: int
-) -> Optional[Fraction]:
+) -> Fraction | None:
     """The constant value of A(mu0)(n)/B(mu0p)(n+2) on [n_lo, n_hi], if any.
 
     Ratios are compared by cross-multiplication against the first sample
@@ -143,15 +138,13 @@ def search_pairs(K: int, window: int = DEFAULT_SEARCH_WINDOW) -> list[TheoremPai
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalFn:
+class RationalFn(namedtuple("RationalFn", "numerator denominator")):
     """Ratio of polynomials in n, exact rational coefficients (low to high).
 
     Reduced to lowest terms with a monic denominator.
     """
 
-    numerator: tuple[Fraction, ...]
-    denominator: tuple[Fraction, ...]
+    __slots__ = ()
 
     def __call__(self, n: int) -> Fraction:
         num = horner(self.numerator, n)

@@ -17,9 +17,9 @@ import tempfile
 import threading
 import time
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from pathlib import Path
-from typing import Callable, Optional, Sequence
 
 MIN_QUERY_TERMS = 6
 MAX_QUERY_TERMS = 12
@@ -53,12 +53,10 @@ class UnparsableCacheWarning(UserWarning):
     """A cache file did not parse; the lookup treats it as a miss."""
 
 
-@dataclass(frozen=True)
-class OeisMatch:
-    sequence_id: str  # e.g. "A000984"
-    name: str
-    matched_offset: int  # index into the entry's data where the query aligns
-    match_length: int  # number of consecutive query terms matched there
+# sequence_id: e.g. "A000984"; matched_offset: the index into the entry's
+# data where the query aligns; match_length: the number of consecutive query
+# terms matched there
+OeisMatch = namedtuple("OeisMatch", "sequence_id name matched_offset match_length")
 
 
 def default_cache_dir() -> Path:
@@ -100,8 +98,8 @@ class OeisClient:
 
     def __init__(
         self,
-        transport: Optional[Transport] = None,
-        cache_dir: Optional[Path] = None,
+        transport: Transport | None = None,
+        cache_dir: Path | None = None,
     ):
         self._transport = transport if transport is not None else offline_transport
         self.cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
@@ -176,7 +174,7 @@ class OeisClient:
             return matches
 
 
-def _read_cache(path: Path, values: Sequence[int]) -> Optional[list[OeisMatch]]:
+def _read_cache(path: Path, values: Sequence[int]) -> list[OeisMatch] | None:
     """The matches in a cache file; None if it is absent or does not parse
     (with a warning naming the file)."""
     if not path.is_file():

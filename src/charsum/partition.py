@@ -9,23 +9,25 @@ single part 2^t, raising the weight by exactly 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from operator import ge
-from typing import Iterable, Iterator, Optional
 
 
 class PartitionFormatError(ValueError):
     """Raised when a partition string cannot be tokenized."""
 
 
-@dataclass(frozen=True)
 class Partition:
     """Immutable non-increasing sequence of positive integers."""
 
-    parts: tuple[int, ...] = ()
+    # Frozen by hand (assignment raises; equality, hash and repr read the one
+    # field): a class decorator that generates these would import ``inspect``,
+    # about 10 ms of every CLI start.
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __init__(self, parts: Iterable[int] = ()):
+        parts = tuple(parts)
         # checked at C speed; the loops only word the error
         if parts and not (
             set(map(type, parts)) == {int} and parts[-1] >= 1 and all(map(ge, parts, parts[1:]))
@@ -37,6 +39,24 @@ class Partition:
                 if a < b:
                     raise ValueError(f"parts must be non-increasing, got {parts}")
         object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __repr__(self) -> str:
+        return f"Partition(parts={self.parts!r})"
+
+    def __reduce__(self):
+        return Partition, (self.parts,)
 
     def weight(self) -> int:
         return sum(self.parts)
@@ -54,16 +74,14 @@ class Partition:
         return format_partition(self)
 
 
-@dataclass(frozen=True)
-class TheoremForm:
+class TheoremForm(namedtuple("TheoremForm", "odd_parts t")):
     """Decomposition into odd parts >= 3 plus the power run 2, ..., 2^(t-1).
 
     ``odd_parts`` is non-increasing; ``t >= 1`` and t = 1 means the run is
     empty (all parts odd).
     """
 
-    odd_parts: tuple[int, ...]
-    t: int
+    __slots__ = ()
 
 
 def make_partition(raw: Iterable[int]) -> Partition:
@@ -122,7 +140,7 @@ def check_mu0_n(mu0: Partition, n: int) -> None:
         raise ValueError(f"n={n} is below |mu0|={mu0.weight()}")
 
 
-def theorem_form_reason(mu0: Partition) -> Optional[str]:
+def theorem_form_reason(mu0: Partition) -> str | None:
     """The first theorem-form condition mu0 fails, or None if it is theorem form."""
     if any(p == 1 for p in mu0):
         return "part equal to 1"
@@ -137,7 +155,7 @@ def theorem_form_reason(mu0: Partition) -> Optional[str]:
     return None
 
 
-def theorem_form_of(mu0: Partition) -> Optional[TheoremForm]:
+def theorem_form_of(mu0: Partition) -> TheoremForm | None:
     """Decompose mu0 into odd parts >= 3 plus a run 2, 4, ..., 2^(t-1).
 
     Returns None unless the even parts are exactly the consecutive powers of

@@ -13,21 +13,38 @@ multiply and divide instead of a fresh ``comb``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 
-@dataclass(frozen=True)
 class IntPoly:
     """Dense polynomial; index k of ``coeffs`` holds the coefficient of x^k."""
 
-    coeffs: tuple[int, ...] = ()
+    # frozen by hand, like ``partition.Partition``
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        cs = list(self.coeffs)
+    def __init__(self, coeffs=()):
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"IntPoly(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return IntPoly, (self.coeffs,)
 
     @property
     def degree(self) -> int:

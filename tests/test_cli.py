@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charsum
-from charsum import characters, charsums, cli
+from charsum import characters, charsums, oeis
 from charsum.cli import build_parser, main
 from charsum.oeis import OeisClient, UnparsableCacheWarning
 from charsum.partition import enumerate_partitions, format_partition, theorem_form_of
@@ -462,7 +462,7 @@ class TestOeisCommand:
 
     @pytest.mark.parametrize("response,problem", MALFORMED_RESPONSES)
     def test_malformed_live_response_exits_7(self, capsys, tmp_path, monkeypatch, response, problem):
-        monkeypatch.setattr(cli, "live_transport", lambda query: json.dumps(response))
+        monkeypatch.setattr(oeis, "live_transport", lambda query: json.dumps(response))
         code, out, err = run(
             capsys, ["oeis", "1,2,6,20,70,252", "--live", "--cache-dir", str(tmp_path)]
         )
@@ -501,7 +501,7 @@ class TestOeisCommand:
         assert "client.lookup(" not in proc.stderr.decode()
 
     def test_cache_dir_that_is_a_file_exits_7(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "live_transport", lambda query: CENTRAL_BINOMIAL_RESPONSE)
+        monkeypatch.setattr(oeis, "live_transport", lambda query: CENTRAL_BINOMIAL_RESPONSE)
         not_a_dir = tmp_path / "cache"
         not_a_dir.write_text("")
         code, out, err = run(
@@ -539,6 +539,65 @@ def test_import_loads_neither_http_nor_process_pool():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
     assert out == "[]\n"
+
+
+# A sum, verify or char run imports none of these: the other commands' modules
+# and the standard-library modules that only those commands use.
+NOT_LOADED_BY_SUM_VERIFY_CHAR = {
+    "charsum.discovery",
+    "charsum.oeis",
+    "dataclasses",
+    "inspect",
+    "fractions",
+    "decimal",
+    "json",
+}
+
+
+def _loaded_modules(code, *argv):
+    """The last stderr line of ``python -S -c code argv`` (no ``site``, so no
+    .pth file preloads a module), read as a Python literal."""
+    src = str(Path(charsum.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sum", "A", "--mu0", "5,3,2", "--n", "10..12"],
+        ["verify", "--mu0", "3", "--n", "3..5", "--format", "csv"],
+        ["char", "--lambda", "3,1", "--mu", "2,2"],
+    ],
+    ids=["sum", "verify", "char"],
+)
+def test_sum_verify_and_char_load_only_what_they_run(argv):
+    code = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('charsum.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print((exc.code, sorted(sys.modules)), file=sys.stderr)\n"
+    )
+    exit_code, loaded = _loaded_modules(code, *argv)
+    assert exit_code == 0
+    assert sorted(NOT_LOADED_BY_SUM_VERIFY_CHAR & set(loaded)) == []
+
+
+def test_import_charsum_loads_no_submodule_until_a_name_is_used():
+    code = (
+        "import sys, charsum\n"
+        "before = sorted(m for m in sys.modules if m.startswith('charsum'))\n"
+        "charsum.sum_A\n"
+        "print((before, sorted(m for m in sys.modules if m.startswith('charsum'))), file=sys.stderr)\n"
+    )
+    before, after = _loaded_modules(code)
+    assert before == ["charsum"]
+    assert after == ["charsum", "charsum.characters", "charsum.charsums", "charsum.partition", "charsum.polyring"]
 
 
 def _cli_process(*argv, script=None):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import charsum
 from charsum import charsums, discovery
 from charsum.charsums import InternalConsistencyError
-from charsum.cli import EXIT_CODES, main
+from charsum.cli import exit_codes, main
 
 GOLDENS = json.loads((Path(__file__).parent / "cli_exit_goldens.json").read_text())
 
@@ -32,7 +32,7 @@ def _src_env():
 
 
 def test_table_lists_every_subclass_before_its_base():
-    classes = [cls for cls, *_ in EXIT_CODES]
+    classes = [cls for cls, *_ in exit_codes()]
     for i, cls in enumerate(classes):
         assert not any(issubclass(later, cls) for later in classes[i + 1 :]), cls
 
