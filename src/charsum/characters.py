@@ -6,7 +6,7 @@
    P(x) = (1+x)^(n-sum a_i) * T(x), T(x) = (1-x) prod(1 + x^a_i), where the
    a_i are the parts of the padded class other than 1.  P has degree n+1 and
    c_j = -c_{n+1-j}; for 0 <= j <= n/2, c_j is the character on (n-j, j).
-   Its kernel is ``polyring.binomial_convolution``.  The hook shapes have
+   It reads one binomial per nonzero coefficient of T.  The hook shapes have
    the same kind of factor: the character of (n-k, 1^k), 0 <= k < n, is the
    coefficient d_k of (1+x)^(n-sum a_i) * V(x), V the ``hook_factor``
    (James-Kerber 1981, 2.7, give (1+x)^(n-sum a_i-1) prod(1 - (-x)^a_i);
@@ -39,7 +39,7 @@ from itertools import combinations, permutations
 from math import comb, perm
 
 from .partition import Partition, check_mu0_n, make_partition
-from .polyring import ONE_MINUS_X, IntPoly, binomial_convolution
+from .polyring import ONE_MINUS_X, IntPoly, binomial_coeff
 
 DEFAULT_ROW_CAP = 4
 
@@ -123,7 +123,8 @@ def char_two_row(n: int, j: int, mu0: Partition) -> int:
     if not 0 <= j <= n + 1:
         raise ValueError(f"j must be in [0, {n + 1}], got {j}")
     check_mu0_n(mu0, n)
-    return binomial_convolution(two_row_factor(mu0.parts), n - mu0.weight(), j)
+    e = n - mu0.weight()
+    return sum(t * binomial_coeff(e, j - i) for i, t in enumerate(two_row_factor(mu0.parts)) if t)
 
 
 def _two_row_route(lmbda: Partition, mu: Partition) -> int:

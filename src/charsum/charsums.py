@@ -52,7 +52,7 @@ class InternalConsistencyError(RuntimeError):
 
 
 # Distinct (family, mu0) pairs whose small polynomial stays cached; a search
-# with K = 16 touches about 600.
+# touches two per pair it finds, 130 with K = 16.
 SMALL_POLY_CACHE_SIZE = 1024
 
 # family -> (factor, divisor): with m = n - h, f = factor(mu0) and small(x) = f(x) f~(x),

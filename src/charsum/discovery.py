@@ -1,13 +1,26 @@
 """Search for constant-ratio pairs and fit closed forms to the sums.
 
-``ratio_test`` decides by cross-multiplication whether A(mu0)(n)/B(mu0')(n+2)
-is the same exact rational across a finite evidence window (a window is
-evidence, not proof).  ``search_pairs`` reaches the same verdict for all
-candidate pairs with a weight gap of 2 at once: it computes each partition's
-sequence once and joins the mu0 and mu0' whose gcd-reduced sequences are
-equal, and flags the pairs matching the odd-parts-plus-power-run
-construction.  Unflagged pairs can be window artefacts: with the default
-window, 10 of K = 22's 201 pairs are, each with a part above the window.
+``search_pairs`` lists every pair (mu0, mu0'), all parts >= 2 and
+|mu0'| = |mu0| + 2, whose ratio A(mu0)(n) / B(mu0')(n+2) is one constant for
+all n, by one comparison of character factors, V(mu0') = T(mu0)
+(``hook_factor``, ``two_row_factor``).  Two arguments make it exact:
+
+- Unitriangular.  With S = f f~ palindromic of centre c (``charsums``), the
+  sequence m -> [x^(m+c)] (1+x)^(2m) S(x) combines m -> C(2m, m+s),
+  s = 0..c, and on m = 0..c the matrix C(2m, m+s) is unitriangular, so the
+  sequence determines S.  A ratio r for all n thus means S_A(mu0) =
+  2r S_B(mu0').  T and V are products of factors 1 - x^k, so f~ = +-f,
+  S = +-f^2 and f(0) = 1: hence 2r = 1 and V(mu0') = T(mu0).
+- Complete.  Write f = prod_k (1 - x^k)^(v_k); then
+  v(T(mu)) = e_1 + sum_{a in mu} (e_2a - e_a) and
+  v(V(nu)) = e_1 - e_2 + sum_{odd b in nu} (e_2b - e_b) + sum_{even b in nu} e_b.
+  The odd entries give mu0 and mu0' the same odd parts, leaving
+  e_2 + sum_{even a in mu0} (e_2a - e_a) = sum_{even b in mu0'} e_b.  The
+  right side has no negative entry, so mu0's even parts are 2, 4, ...,
+  2^(t-1) and mu0' has the one even part 2^t: the pairs are exactly the
+  paper's theorem-form mu0 and their companions, and V determines mu0'.
+
+``ratio_test`` cross-checks each pair the join finds on a window of n.
 ``fit_closed_form`` formats the rational function R with
 family(n) = C(2n, n) * R(n) that ``charsums.exact_ratio`` derives and checks.
 """
@@ -16,8 +29,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
 
+from .characters import hook_factor, two_row_factor
 from .charsums import InternalConsistencyError, exact_ratio, sum_A, sum_B
 from .partition import (
     Partition,
@@ -39,14 +52,13 @@ class SearchError(ValueError):
 class TheoremPair(
     namedtuple("TheoremPair", "mu0 mu0_prime ratio n_lo n_hi theorem_predicted")
 ):
-    """A pair with constant A/B ratio over the inclusive window [n_lo, n_hi]."""
+    """A proven pair, its ratio cross-checked over the inclusive window
+    [n_lo, n_hi]; ``theorem_predicted`` is always True."""
 
     __slots__ = ()
 
 
-def ratio_test(
-    mu0: Partition, mu0p: Partition, n_lo: int, n_hi: int
-) -> Fraction | None:
+def ratio_test(mu0: Partition, mu0p: Partition, n_lo: int, n_hi: int) -> Fraction | None:
     """The constant value of A(mu0)(n)/B(mu0p)(n+2) on [n_lo, n_hi], if any.
 
     Ratios are compared by cross-multiplication against the first sample
@@ -80,34 +92,15 @@ def ratio_test(
     return Fraction(a_ref, b_ref)
 
 
-def _sequence(family: str, mu0: Partition, n_lo: int, n_hi: int) -> tuple[int, tuple[int, ...]]:
-    """(g, seq // g), g = gcd(seq), for seq the values over n in [n_lo, n_hi]
-    of A(mu0)(n) (family "A") or B(mu0)(n + 2) (family "B").
-
-    Every value is >= 1, because the trivial character contributes 1, so two
-    sequences have a constant ratio exactly when their reduced forms are
-    equal, and the ratio is then the ratio of their gcds.
-    """
-    if family == "A":
-        seq = [sum_A(mu0, n) for n in range(n_lo, n_hi + 1)]
-    else:
-        seq = [sum_B(mu0, n + 2) for n in range(n_lo, n_hi + 1)]
-    if min(seq) < 1:
-        raise InternalConsistencyError(f"family {family} sum below 1 for mu0={mu0!r}")
-    g = gcd(*seq)
-    return g, tuple(v // g for v in seq)
-
-
 def search_pairs(K: int, window: int = DEFAULT_SEARCH_WINDOW) -> list[TheoremPair]:
     """All constant-ratio pairs with |mu0| <= K and |mu0'| = |mu0| + 2.
 
-    Every mu0 with smallest part >= 2 (the empty partition included) is
-    tested against every same-constraint mu0' of weight |mu0| + 2 over
-    n in [|mu0|, |mu0| + window], with the same verdict as ``ratio_test``.
-    Each partition's sequence is computed once, and the pairs of a weight
-    are found by joining the mu0 on their reduced sequences.  Output order
-    is deterministic: weight ascending, then the lexicographic-descending
-    enumeration order for mu0 and mu0'.
+    For each weight w the mu0' of weight w + 2 (smallest part >= 2) are keyed
+    by V(mu0'), and each mu0 of weight w looks up T(mu0).  Each pair found is
+    cross-checked by ``ratio_test`` over n in [w, w + window]: a ratio other
+    than 1/2, or a mu0' other than mu0's companion, is an
+    InternalConsistencyError.  Output order is deterministic: weight
+    ascending, then the lexicographic-descending enumeration order of mu0.
     """
     if K < 2:
         raise SearchError("K must be >= 2")
@@ -115,21 +108,21 @@ def search_pairs(K: int, window: int = DEFAULT_SEARCH_WINDOW) -> list[TheoremPai
         raise SearchError(f"window must be >= {MIN_RATIO_WINDOW}")
     pairs = []
     for w in range(K + 1):
-        buckets: dict[tuple[int, ...], list[tuple[Partition, int]]] = {}
-        for mu0p in enumerate_partitions(w + 2, min_part=2):
-            g_b, key = _sequence("B", mu0p, w, w + window)
-            buckets.setdefault(key, []).append((mu0p, g_b))
+        # V determines mu0' (see above), so no key is shared
+        by_factor = {hook_factor(p.parts): p for p in enumerate_partitions(w + 2, min_part=2)}
         for mu0 in enumerate_partitions(w, min_part=2):
-            g_a, key = _sequence("A", mu0, w, w + window)
-            matches = buckets.get(key)
-            if not matches:
+            mu0p = by_factor.get(two_row_factor(mu0.parts))
+            if mu0p is None:
                 continue
+            ratio = ratio_test(mu0, mu0p, w, w + window)
             form = theorem_form_of(mu0)
             companion = None if form is None else companion_mu_prime(form)
-            for mu0p, g_b in matches:
-                pairs.append(
-                    TheoremPair(mu0, mu0p, Fraction(g_a, g_b), w, w + window, companion == mu0p)
+            if ratio != Fraction(1, 2) or companion != mu0p:
+                raise InternalConsistencyError(
+                    f"V({mu0p}) = T({mu0}), but the ratio on [{w}, {w + window}]"
+                    f" is {ratio} and the companion is {companion}"
                 )
+            pairs.append(TheoremPair(mu0, mu0p, ratio, w, w + window, True))
     return pairs
 
 

@@ -2,10 +2,8 @@
 
 ``IntPoly`` is a dense coefficient tuple with classical convolution, and
 ``horner`` evaluates a coefficient list at a point; no floating point
-anywhere.  ``binomial_coeff`` is C(e, k) for e >= 0,
-``binomial_range`` gives a window of them for the price of one, and
-``binomial_convolution`` reads [x^k] (1 + x)^e * small(x) off one window.
-A negative exponent raises ValueError: no sum or character needs one.
+anywhere.  ``binomial_coeff`` is C(e, k) for e >= 0; a negative exponent
+raises ValueError: no sum or character needs one.
 ``central_binomial`` gives C(2m, m) and keeps its last value, so a
 sweep over consecutive m steps each one from its neighbour with one short
 multiply and divide instead of a fresh ``comb``.
@@ -80,39 +78,6 @@ def horner(cs, x):
 def binomial_coeff(e: int, k: int) -> int:
     """C(e, k) for e >= 0; 0 when k < 0 or k > e."""
     return comb(e, k) if k >= 0 else 0
-
-
-def binomial_range(e: int, lo: int, hi: int) -> list[int]:
-    """[C(e, j) for j in lo..hi], e >= 0.
-
-    One ``binomial_coeff`` call gives the highest nonzero entry; the rest come
-    from the exact step C(e, j-1) = C(e, j) * j / (e - j + 1), whose divisor
-    is never zero since j <= e.  On n-digit values each step costs a short
-    multiply and divide instead of a fresh ``comb``.
-    """
-    if e < 0:
-        raise ValueError(f"binomial exponent must be >= 0, got {e}")
-    out = [0] * (hi - lo + 1)
-    top = min(hi, e)  # C(e, j) = 0 when j > e
-    if top < max(lo, 0):
-        return out
-    c = binomial_coeff(e, top)
-    out[top - lo] = c
-    for j in range(top, max(lo, 0), -1):
-        c = c * j // (e - j + 1)
-        out[j - 1 - lo] = c
-    return out
-
-
-def binomial_convolution(small: tuple[int, ...], e: int, target: int) -> int:
-    """[x^target] (1+x)^e * small(x) for e >= 0.
-
-    ``small`` (coefficients from x^0 up) has no negative exponents, so terms
-    of (1+x)^e beyond x^target never contribute: only len(small) binomials
-    are read.
-    """
-    binoms = binomial_range(e, target - len(small) + 1, target)
-    return sum(c * b for c, b in zip(small, reversed(binoms)) if c)
 
 
 # The last (m, C(2m, m)) pair ``central_binomial`` returned, from C(0, 0) = 1.

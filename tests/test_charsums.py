@@ -23,7 +23,7 @@ from charsum.partition import (
     make_partition,
     theorem_form_of,
 )
-from charsum.polyring import ONE_MINUS_X, IntPoly, binomial_coeff, binomial_convolution
+from charsum.polyring import ONE_MINUS_X, IntPoly, binomial_coeff
 from charsum.characters import char_two_row, hook_factor, two_row_factor
 
 
@@ -161,7 +161,9 @@ class TestKernelProperties:
         for extra in order:
             n = mu0.weight() + extra
             m = n - h
-            expected = binomial_convolution(small, 2 * m, m + len(small) // 2) if m >= 0 else 0
+            # [x^(m + top)] (1+x)^(2m) small(x), top = deg small / 2
+            target = m + len(small) // 2
+            expected = sum(c * comb(2 * m, target - k) for k, c in enumerate(small[: target + 1]))
             assert value(mu0, n) == expected // divisor, (n, m)
 
     def test_a_sweep_seeds_at_most_two_binomials(self, monkeypatch):
@@ -265,9 +267,10 @@ class TestProofStepIdentities:
 
     def test_only_the_companion_satisfies_the_identity(self):
         # among nu of weight |mu0| + 2, V(nu) = T(mu0) picks out exactly the
-        # companion, and no nu at all when mu0 is not theorem form
+        # companion, and no nu at all when mu0 is not theorem form: the
+        # completeness that lets ``search_pairs`` join on factors
         pairs = 0
-        for w in range(13):
+        for w in range(29):
             by_factor = {}
             for nu in enumerate_partitions(w + 2, 2):
                 by_factor.setdefault(hook_factor(nu.parts), []).append(nu)
@@ -276,7 +279,7 @@ class TestProofStepIdentities:
                 expected = [] if form is None else [companion_mu_prime(form)]
                 assert by_factor.get(two_row_factor(mu0.parts), []) == expected, mu0
                 pairs += len(expected)
-        assert pairs == 29
+        assert pairs == 498
 
     def test_euler_substitution_preserves_two_row_value(self):
         cases = [(1, (3,)), (2, (3,)), (3, (5, 3)), (4, ()), (5, ())]

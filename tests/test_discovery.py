@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charsum import charsums
+from charsum import charsums, discovery
 from charsum.charsums import InternalConsistencyError, sum_A, sum_B, verify_theorem
 from charsum.cli import main
 from charsum.discovery import (
@@ -125,10 +125,11 @@ class TestSearchPairs:
         with pytest.raises(SearchError):
             search_pairs(K, window)
 
-    def test_join_matches_pairwise_ratio_test(self):
-        # K = 14 with window 12 is the first to report pairs outside the
-        # theorem ((14) -> (14,2) among them), so both verdicts are exercised
-        K, window = 14, 12
+    def test_join_equals_pairwise_ratio_test_at_window_k_plus_3(self):
+        # every centre of S = f f~ is at most K + 1, so by the unitriangular
+        # argument a window of K + 1 or more decides each pair exactly
+        K = 10
+        window = K + 3
         expected = []
         for w in range(K + 1):
             for mu0 in enumerate_partitions(w, 2):
@@ -138,7 +139,28 @@ class TestSearchPairs:
                         expected.append((mu0, mu0p, ratio, w))
         got = [(p.mu0, p.mu0_prime, p.ratio, p.n_lo) for p in search_pairs(K, window)]
         assert got == expected
-        assert (make_partition([14]), make_partition([14, 2]), HALF, 14) in got
+
+    def test_k22_reports_exactly_the_theorem_pairs(self):
+        pairs = search_pairs(22)
+        assert all(p.ratio == HALF and p.theorem_predicted for p in pairs)
+        got = [(p.mu0, p.mu0_prime) for p in pairs]
+        assert got == [
+            (mu0, companion_mu_prime(form))
+            for w in range(23)
+            for mu0 in enumerate_partitions(w, 2)
+            if (form := theorem_form_of(mu0)) is not None
+        ]
+        assert len(got) == 191
+        # a window of 12 took both for identities: each has a part above it
+        assert (make_partition([14]), make_partition([14, 2])) not in got
+        assert (make_partition([14, 7]), make_partition([7, 7, 7, 2])) not in got
+
+    def test_a_ratio_other_than_one_half_is_internal_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(discovery, "ratio_test", lambda mu0, mu0p, n_lo, n_hi: Fraction(1, 3))
+        with pytest.raises(InternalConsistencyError, match="1/3"):
+            search_pairs(4)
+        assert main(["search", "--K", "4"]) == 4
+        assert "1/3" in capsys.readouterr().err
 
 
 class TestFitClosedForm:

@@ -15,8 +15,6 @@ from charsum.polyring import (
     ONE_MINUS_X,
     IntPoly,
     binomial_coeff,
-    binomial_convolution,
-    binomial_range,
     central_binomial,
 )
 
@@ -112,34 +110,7 @@ class TestCoeff:
 
 
 class TestBinomialRange:
-    @given(
-        e=st.integers(0, 400),
-        lo=st.integers(-20, 420),
-        width=st.integers(0, 40),
-    )
-    def test_matches_binomial_coeff_term_by_term(self, e, lo, width):
-        # windows reach below 0, above e, and straddle both edges
-        hi = lo + width - 1
-        assert binomial_range(e, lo, hi) == [binomial_coeff(e, j) for j in range(lo, hi + 1)]
-
-    def test_one_binomial_coeff_call_per_range(self, monkeypatch):
-        import charsum.polyring as polyring
-
-        calls = []
-        original = polyring.binomial_coeff
-        monkeypatch.setattr(
-            polyring, "binomial_coeff", lambda e, k: calls.append((e, k)) or original(e, k)
-        )
-        assert binomial_range(3000, 1480, 1502) == [
-            original(3000, j) for j in range(1480, 1503)
-        ]
-        assert calls == [(3000, 1502)]
-
-    def test_truncated_positive(self):
-        assert binomial_range(2, 0, 1) == [1, 2]
-
-    def test_exponent_zero(self):
-        assert binomial_range(0, 0, 5) == [1, 0, 0, 0, 0, 0]
+    """``binomial_coeff`` over whole rows of Pascal's triangle and past their ends."""
 
     def test_against_fraction_product_oracle(self):
         for e in range(9):
@@ -149,29 +120,15 @@ class TestBinomialRange:
     def test_agrees_with_poly_pow_for_nonnegative(self):
         power = IntPoly((1,))
         for e in range(7):
-            assert binomial_range(e, 0, 10) == list(power.coeffs) + [0] * (10 - power.degree)
-            assert binomial_range(e, 0, e) == pascal_row_oracle(e)
+            row = [binomial_coeff(e, j) for j in range(11)]
+            assert row == list(power.coeffs) + [0] * (10 - power.degree)
+            assert row[: e + 1] == pascal_row_oracle(e)
             power = power * IntPoly((1, 1))
 
     def test_negative_exponent_raises(self):
         # (1+x)^e with e < 0 is a power series, which no caller reads
         with pytest.raises(ValueError):
             binomial_coeff(-2, 1)
-        with pytest.raises(ValueError):
-            binomial_range(-2, 0, 3)
-        with pytest.raises(ValueError):
-            binomial_convolution((1,), -2, 1)
-
-
-class TestBinomialConvolution:
-    @given(
-        small=st.lists(st.integers(-3, 3), max_size=12),
-        e=st.integers(0, 60),
-        target=st.integers(0, 80),
-    )
-    def test_matches_the_series_product(self, small, e, target):
-        expected = sum(c * binomial_coeff(e, target - k) for k, c in enumerate(small))
-        assert binomial_convolution(tuple(small), e, target) == expected
 
 
 # one move of a walk over m: a step of -1, 0 or +1, a jump, or a return to m = 0
