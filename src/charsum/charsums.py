@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 from .characters import char_mn, hook_factor, padded_class, two_row_factor
 from .partition import (
@@ -168,8 +168,9 @@ def _divide_linear(cs: tuple[int, ...], a: int, b: int) -> list[int] | None:
     return q if carry == 0 else None
 
 
-def exact_ratio(family: str, mu0: Partition) -> tuple[IntPoly, IntPoly]:
-    """R(n) = family(mu0)(n) / C(2n, n) as (numerator, denominator) in lowest terms.
+def exact_ratio(family: str, mu0: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """R(n) = family(mu0)(n) / C(2n, n) as (numerator, denominator) in lowest terms:
+    tuples of integer coefficients, low to high, whose gcd (content) is 1.
 
     With h, the divisor and small(x) from ``_family`` and m = n - h, the
     family is sum_j c_j C(2m, m + s_j) / divisor over the coefficients c_j of
@@ -184,7 +185,8 @@ def exact_ratio(family: str, mu0: Partition) -> tuple[IntPoly, IntPoly]:
     divisor * 2^h prod_t (2n - 2t - 1) prod_{i<=top} (m + i),
     numerator and denominator are integer polynomials of degree at most
     2|mu0| + 1.  The denominator's linear factors are distinct, so dropping
-    each one that divides the numerator leaves R in lowest terms.
+    each one that divides the numerator leaves R in lowest terms.  Every a is
+    positive, and so is the denominator's leading coefficient.
 
     R(n) * C(2n, n) is checked against the family's sum at n = |mu0| + k,
     k = 0 .. D + 3, D = deg R; a mismatch is an InternalConsistencyError.
@@ -216,10 +218,12 @@ def exact_ratio(family: str, mu0: Partition) -> tuple[IntPoly, IntPoly]:
             den = den * IntPoly((b, a))
         else:
             num = IntPoly(quotient)
+    content = gcd(*num.coeffs, *den.coeffs)
+    num, den = (tuple(c // content for c in p.coeffs) for p in (num, den))
     value = sum_A if family == "A" else sum_B  # module-level names, so wrappers see the calls
-    for n in range(n_lo, n_lo + max(num.degree, den.degree) + 4):
-        d = horner(den.coeffs, n)
-        if d == 0 or horner(num.coeffs, n) * comb(2 * n, n) != value(mu0, n) * d:
+    for n in range(n_lo, n_lo + max(len(num), len(den)) + 3):
+        d = horner(den, n)
+        if d == 0 or horner(num, n) * comb(2 * n, n) != value(mu0, n) * d:
             raise InternalConsistencyError(
                 f"derived R(n) * C(2n, n) differs from {family}(n) at n={n}"
                 f" for mu0={str(mu0) or 'empty'}"

@@ -34,6 +34,7 @@ import sys
 import warnings
 from collections.abc import Iterable
 from itertools import chain
+from math import gcd
 
 from .characters import ROUTES, RowCapExceeded
 from .charsums import (
@@ -46,10 +47,9 @@ from .charsums import (
 )
 from .partition import PartitionFormatError, format_partition, parse_partition
 
-# ``discovery`` (which loads ``fractions``), ``oeis`` and ``json`` are imported
-# inside the commands that use them, so a ``sum``, ``verify`` or ``char`` run
-# starts without them.  Such an import reads the names when the command runs,
-# so a wrapper bound to the module attribute (a test's monkeypatch) is seen.
+# ``discovery``, ``oeis`` and ``json`` are imported by the commands that use
+# them, so a ``sum``, ``verify`` or ``char`` run starts without them.  Each
+# import binds its names as the command runs, so a test's monkeypatch is seen.
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -210,9 +210,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_hold else EXIT_VERIFY_FAILED
 
 
-def _fraction(q) -> str:
-    """An exact rational as JSON prints it: "p/q", also when q is 1."""
-    return f"{q.numerator}/{q.denominator}"
+def _ratio(p: int, q: int) -> str:
+    """p/q (q > 0) in lowest terms as JSON prints it: "p/q", also when q is 1."""
+    g = gcd(p, q)
+    return f"{p // g}/{q // g}"
 
 
 def cmd_search(args) -> int:
@@ -225,7 +226,7 @@ def cmd_search(args) -> int:
         record = {
             "mu0": format_partition(pair.mu0),
             "mu0_prime": format_partition(pair.mu0_prime),
-            "ratio": _fraction(pair.ratio),
+            "ratio": _ratio(*pair.ratio),
             "evidence_n": [pair.n_lo, pair.n_hi],
             "theorem_predicted": pair.theorem_predicted,
         }
@@ -239,13 +240,14 @@ def cmd_fit(args) -> int:
     from .discovery import fit_closed_form
 
     mu0 = parse_partition(args.mu0)
-    fn = fit_closed_form(mu0, args.family)
+    num, den = fit_closed_form(mu0, args.family)
+    # each coefficient over the denominator's leading one, so the denominator is monic
     record = {
         "family": args.family,
         "mu0": format_partition(mu0),
         "n_lo": mu0.weight(),
-        "numerator": [_fraction(c) for c in fn.numerator],
-        "denominator": [_fraction(c) for c in fn.denominator],
+        "numerator": [_ratio(c, den[-1]) for c in num],
+        "denominator": [_ratio(c, den[-1]) for c in den],
     }
     print(json.dumps(record))
     return EXIT_OK

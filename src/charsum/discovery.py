@@ -21,14 +21,15 @@ all n, by one comparison of character factors, V(mu0') = T(mu0)
   paper's theorem-form mu0 and their companions, and V determines mu0'.
 
 ``ratio_test`` cross-checks each pair the join finds on a window of n.
-``fit_closed_form`` formats the rational function R with
+``fit_closed_form`` returns the rational function R with
 family(n) = C(2n, n) * R(n) that ``charsums.exact_ratio`` derives and checks.
+Every value returned is an int or a tuple of ints: a ratio is (p, q).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
+from math import gcd
 
 from .characters import hook_factor, two_row_factor
 from .charsums import InternalConsistencyError, exact_ratio, sum_A, sum_B
@@ -39,7 +40,6 @@ from .partition import (
     enumerate_partitions,
     theorem_form_of,
 )
-from .polyring import horner
 
 MIN_RATIO_WINDOW = 4  # n_hi - n_lo (a search's window) must be at least this
 DEFAULT_SEARCH_WINDOW = 12
@@ -52,14 +52,15 @@ class SearchError(ValueError):
 class TheoremPair(
     namedtuple("TheoremPair", "mu0 mu0_prime ratio n_lo n_hi theorem_predicted")
 ):
-    """A proven pair, its ratio cross-checked over the inclusive window
-    [n_lo, n_hi]; ``theorem_predicted`` is always True."""
+    """A proven pair, its ratio (p, q) = (1, 2) cross-checked over the inclusive
+    window [n_lo, n_hi]; ``theorem_predicted`` is always True."""
 
     __slots__ = ()
 
 
-def ratio_test(mu0: Partition, mu0p: Partition, n_lo: int, n_hi: int) -> Fraction | None:
-    """The constant value of A(mu0)(n)/B(mu0p)(n+2) on [n_lo, n_hi], if any.
+def ratio_test(mu0: Partition, mu0p: Partition, n_lo: int, n_hi: int) -> tuple[int, int] | None:
+    """The constant value p/q of A(mu0)(n)/B(mu0p)(n+2) on [n_lo, n_hi], if any,
+    as (p, q) in lowest terms with q > 0.
 
     Ratios are compared by cross-multiplication against the first sample
     that is not (0, 0), so zeros never divide.  Returns None when the ratio
@@ -89,7 +90,8 @@ def ratio_test(mu0: Partition, mu0p: Partition, n_lo: int, n_hi: int) -> Fractio
             return None
     if a_ref is None:
         return None
-    return Fraction(a_ref, b_ref)
+    g = gcd(a_ref, b_ref)  # the sums are non-negative, so b_ref > 0
+    return a_ref // g, b_ref // g
 
 
 def search_pairs(K: int, window: int = DEFAULT_SEARCH_WINDOW) -> list[TheoremPair]:
@@ -117,46 +119,21 @@ def search_pairs(K: int, window: int = DEFAULT_SEARCH_WINDOW) -> list[TheoremPai
             ratio = ratio_test(mu0, mu0p, w, w + window)
             form = theorem_form_of(mu0)
             companion = None if form is None else companion_mu_prime(form)
-            if ratio != Fraction(1, 2) or companion != mu0p:
+            if ratio != (1, 2) or companion != mu0p:
                 raise InternalConsistencyError(
                     f"V({mu0p}) = T({mu0}), but the ratio on [{w}, {w + window}]"
-                    f" is {ratio} and the companion is {companion}"
+                    f" is {'%d/%d' % ratio if ratio else None} and the companion is {companion}"
                 )
             pairs.append(TheoremPair(mu0, mu0p, ratio, w, w + window, True))
     return pairs
 
 
-# ---------------------------------------------------------------------------
-# Rational-function fitting
-# ---------------------------------------------------------------------------
-
-
-class RationalFn(namedtuple("RationalFn", "numerator denominator")):
-    """Ratio of polynomials in n, exact rational coefficients (low to high).
-
-    Reduced to lowest terms with a monic denominator.
-    """
-
-    __slots__ = ()
-
-    def __call__(self, n: int) -> Fraction:
-        num = horner(self.numerator, n)
-        den = horner(self.denominator, n)
-        if den == 0:
-            raise ZeroDivisionError(f"denominator vanishes at n={n}")
-        return num / den
-
-
-def fit_closed_form(mu0: Partition, family: str) -> RationalFn:
+def fit_closed_form(mu0: Partition, family: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Find R with family(mu0)(n) = C(2n, n) * R(n), exactly, for all n.
 
-    R is derived and checked by ``charsums.exact_ratio`` and returned in
-    reduced monic-denominator form; its degree, max(deg numerator, deg
-    denominator), is at most 2|mu0| + 1.
+    R is derived and checked by ``charsums.exact_ratio`` and returned as its
+    (numerator, denominator): integer coefficients, low to high, in lowest
+    terms with content 1 and a positive leading denominator coefficient.  Its
+    degree, max(deg numerator, deg denominator), is at most 2|mu0| + 1.
     """
-    num, den = exact_ratio(family, mu0)
-    lead = den.coeffs[-1]
-    return RationalFn(
-        tuple(Fraction(c, lead) for c in num.coeffs),
-        tuple(Fraction(c, lead) for c in den.coeffs),
-    )
+    return exact_ratio(family, mu0)

@@ -11,7 +11,6 @@ import re
 import shlex
 import subprocess
 import sys
-from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
 
@@ -554,6 +553,16 @@ NOT_LOADED_BY_SUM_VERIFY_CHAR = {
 }
 
 
+# run the CLI on sys.argv, then print its exit code and every module it loaded
+RUN_CLI_AND_LIST_MODULES = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('charsum.cli', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    print((exc.code, sorted(sys.modules)), file=sys.stderr)\n"
+)
+
+
 def _loaded_modules(code, *argv):
     """The last stderr line of ``python -S -c code argv`` (no ``site``, so no
     .pth file preloads a module), read as a Python literal."""
@@ -576,16 +585,19 @@ def _loaded_modules(code, *argv):
     ids=["sum", "verify", "char"],
 )
 def test_sum_verify_and_char_load_only_what_they_run(argv):
-    code = (
-        "import runpy, sys\n"
-        "try:\n"
-        "    runpy.run_module('charsum.cli', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    print((exc.code, sorted(sys.modules)), file=sys.stderr)\n"
-    )
-    exit_code, loaded = _loaded_modules(code, *argv)
+    exit_code, loaded = _loaded_modules(RUN_CLI_AND_LIST_MODULES, *argv)
     assert exit_code == 0
     assert sorted(NOT_LOADED_BY_SUM_VERIFY_CHAR & set(loaded)) == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["search", "--K", "8"], ["fit", "--family", "A", "--mu0", "3"]], ids=["search", "fit"]
+)
+def test_search_and_fit_load_no_rational_arithmetic(argv):
+    # the library computes in integers only; `fractions` would bring the other two
+    exit_code, loaded = _loaded_modules(RUN_CLI_AND_LIST_MODULES, *argv)
+    assert exit_code == 0 and "charsum.discovery" in loaded
+    assert sorted({"fractions", "decimal", "numbers"} & set(loaded)) == []
 
 
 def test_import_charsum_loads_no_submodule_until_a_name_is_used():
@@ -689,8 +701,8 @@ def test_readme_library_tour_holds():
     companion, a, holds, pairs, fit = values
     assert companion.parts == (3, 2)
     assert a == 2 and holds is True
-    assert pairs and {p.ratio for p in pairs} == {Fraction(1, 2)}
-    assert (fit.numerator, fit.denominator) == ((1,), (1, 1))  # 1/(n+1)
+    assert pairs and {p.ratio for p in pairs} == {(1, 2)}
+    assert fit == ((1,), (1, 1))  # 1/(n+1)
 
 
 def test_readme_cli_examples_print_what_their_comments_say(capsys):

@@ -1,8 +1,10 @@
 """Pair search and exact rational-function fitting."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,6 @@ from charsum import charsums, discovery
 from charsum.charsums import InternalConsistencyError, sum_A, sum_B, verify_theorem
 from charsum.cli import main
 from charsum.discovery import (
-    RationalFn,
     SearchError,
     fit_closed_form,
     ratio_test,
@@ -26,13 +27,21 @@ from charsum.partition import (
     make_partition,
     theorem_form_of,
 )
+from charsum.polyring import horner
 
-HALF = Fraction(1, 2)
+HALF = (1, 2)
 
 # `charsum fit` stdout for the benchmark's fits and the README example,
 # recorded from an exact interpolating fit (sampled values, linear solves),
 # an independent route to the same reduced R.
 FIT_GOLDENS = json.loads((Path(__file__).parent / "fit_goldens.json").read_text())
+
+
+def holds(fit, value, n):
+    """value == C(2n, n) * R(n) for the closed form fit = (numerator, denominator)."""
+    num, den = fit
+    d = horner(den, n)
+    return d != 0 and horner(num, n) * comb(2 * n, n) == value * d
 
 
 def partitions_min_two(max_weight):
@@ -156,7 +165,7 @@ class TestSearchPairs:
         assert (make_partition([14, 7]), make_partition([7, 7, 7, 2])) not in got
 
     def test_a_ratio_other_than_one_half_is_internal_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(discovery, "ratio_test", lambda mu0, mu0p, n_lo, n_hi: Fraction(1, 3))
+        monkeypatch.setattr(discovery, "ratio_test", lambda mu0, mu0p, n_lo, n_hi: (1, 3))
         with pytest.raises(InternalConsistencyError, match="1/3"):
             search_pairs(4)
         assert main(["search", "--K", "4"]) == 4
@@ -165,28 +174,28 @@ class TestSearchPairs:
 
 class TestFitClosedForm:
     def test_identity_class_two_row_sum_is_catalan(self):
-        fn = fit_closed_form(Partition(), "A")
-        assert fn == RationalFn(
-            numerator=(Fraction(1),), denominator=(Fraction(1), Fraction(1))
-        )
+        fit = fit_closed_form(Partition(), "A")
+        assert fit == ((1,), (1, 1))
         for n in range(25):
-            assert Fraction(sum_A(Partition(), n)) == comb(2 * n, n) * fn(n)
+            assert holds(fit, sum_A(Partition(), n), n)
 
     def test_holds_on_thirty_heldout_points(self):
         mu0 = make_partition([3])
-        fn = fit_closed_form(mu0, "A")
+        fit = fit_closed_form(mu0, "A")
         for n in range(3, 34):
-            assert Fraction(sum_A(mu0, n)) == comb(2 * n, n) * fn(n)
+            assert holds(fit, sum_A(mu0, n), n)
 
     def test_hook_family_fits_too(self):
         mu0 = make_partition([3, 2])
-        fn = fit_closed_form(mu0, "B")
+        fit = fit_closed_form(mu0, "B")
         for n in range(5, 26):
-            assert Fraction(sum_B(mu0, n)) == comb(2 * n, n) * fn(n)
+            assert holds(fit, sum_B(mu0, n), n)
 
-    def test_denominator_is_monic_and_reduced(self):
-        fn = fit_closed_form(make_partition([2]), "A")
-        assert fn.denominator[-1] == 1
+    def test_pair_is_primitive_with_positive_denominator_lead(self):
+        # R(n) = (n^2 - 5n + 9) / (4n^3 - 4n^2 - 5n + 3)
+        num, den = fit_closed_form(make_partition([2]), "A")
+        assert (num, den) == ((9, -5, 1), (3, -5, -4, 4))
+        assert gcd(*num, *den) == 1 and den[-1] > 0
 
     def test_degree_is_at_most_twice_weight_plus_one(self):
         # the bound exact_ratio's docstring derives, reached at some mu0
@@ -195,7 +204,7 @@ class TestFitClosedForm:
             for mu0 in enumerate_partitions(w, 2):
                 for family in "AB":
                     num, den = charsums.exact_ratio(family, mu0)
-                    slack.append(max(num.degree, den.degree) - (2 * w + 1))
+                    slack.append(max(len(num), len(den)) - 1 - (2 * w + 1))
         assert max(slack) == 0
 
     def test_bad_family(self):
@@ -223,10 +232,23 @@ class TestFitClosedForm:
     @settings(max_examples=60, deadline=None)
     @given(mu0=partitions_min_two(10), family=st.sampled_from("AB"), data=st.data())
     def test_times_central_binomial_equals_lemma(self, mu0, family, data):
-        fn = fit_closed_form(mu0, family)
+        fit = fit_closed_form(mu0, family)
         lemma = sum_A if family == "A" else sum_B
         n = data.draw(st.integers(mu0.weight(), mu0.weight() + 80))
-        assert comb(2 * n, n) * fn(n) == lemma(mu0, n)
+        assert holds(fit, lemma(mu0, n), n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mu0=partitions_min_two(10), family=st.sampled_from("AB"))
+    def test_cli_prints_each_coefficient_over_the_denominator_lead(self, mu0, family):
+        num, den = fit_closed_form(mu0, family)
+        assert gcd(*num, *den) == 1 and den[-1] > 0
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["fit", "--family", family, "--mu0", ",".join(map(str, mu0.parts))]) == 0
+        record = json.loads(out.getvalue())
+        for key, coeffs in (("numerator", num), ("denominator", den)):
+            monic = (Fraction(c, den[-1]) for c in coeffs)
+            assert record[key] == [f"{q.numerator}/{q.denominator}" for q in monic]
 
     def test_validation_mismatch_is_internal_error(self, capsys, monkeypatch):
         monkeypatch.setattr(charsums, "sum_B", lambda mu0, n: sum_B(mu0, n) + (n == 9))
