@@ -14,7 +14,10 @@
    polynomial).  The class 1^n has no factor and peels one of its 1s
    instead: V = 1, d_k = C(n-1, k).
 3. ``char_mn``: Murnaghan-Nakayama on the Maya diagram, the independent
-   oracle for the other two and for the sums.  Row i of the shape puts a
+   oracle for the other two and for the sums.  ``sum_A_bruteforce`` takes
+   one ``char_mn`` per two-row shape of n; ``sum_B_bruteforce`` takes only
+   the |mu0| hooks of |mu0| on the class mu0 and adds the 1s by the
+   branching rule, a Pascal step per 1.  Row i of the shape puts a
    bead at lambda_i - i (i >= 1, lambda_i = 0 past the last row), so far
    enough down every place holds a bead.  The shape is kept as its defects,
    the places where it differs from the vacuum of beads at every place < 0:
@@ -44,8 +47,9 @@ from .polyring import ONE_MINUS_X, IntPoly, binomial_coeff
 DEFAULT_ROW_CAP = 4
 
 # Distinct (defects, remaining parts) states the oracle keeps; a brute-force
-# sum at one n of the benchmark's windows (A up to n = 200, B up to n = 103,
-# three parts >= 2) visits at most 393, each at most four defects long.
+# A at one n of the benchmark's windows (n up to 200, three parts >= 2) visits
+# at most 393, each at most four defects long.  A brute-force B visits at most
+# 20 for those classes, whatever n is: it seeds only the hooks of |mu0|.
 ORACLE_CACHE_SIZE = 4096
 
 

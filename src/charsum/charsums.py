@@ -111,23 +111,38 @@ def sum_B(mu0: Partition, n: int) -> int:
     return _family_sum("B", mu0, n)
 
 
-def _bruteforce(mu0: Partition, n: int, shapes) -> int:
-    """Squared border-strip characters on mu0's padded class, summed over ``shapes``,
-    each a non-increasing tuple."""
+def sum_A_bruteforce(mu0: Partition, n: int) -> int:
+    """A by definition: squared border-strip characters over (n-j, j)."""
     cls = padded_class(mu0, n)
+    one_row = (n,) if n else ()  # the empty shape at n = 0
+    shapes = ((n - j, j) if j else one_row for j in range(n // 2 + 1))
     return sum(char_mn(Partition(shape), cls) ** 2 for shape in shapes)
 
 
-def sum_A_bruteforce(mu0: Partition, n: int) -> int:
-    """A by definition: squared border-strip characters over (n-j, j)."""
-    one_row = (n,) if n else ()  # the empty shape at n = 0
-    return _bruteforce(mu0, n, ((n - j, j) if j else one_row for j in range(n // 2 + 1)))
-
-
 def sum_B_bruteforce(mu0: Partition, n: int) -> int:
-    """B by definition: squared border-strip characters over (j, 1^(n-j))."""
-    ones = (1,) * n
-    return _bruteforce(mu0, n, ((j,) + ones[: n - j] for j in range(1, n + 1)))
+    """B by definition: squared characters over the hooks (n-k, 1^k), 0 <= k < n.
+
+    With w = |mu0|, the border-strip oracle gives the w hooks of w on the
+    class mu0 itself (the class 1^n starts from the hook (1) at size 1).  Then
+    each 1 of the padded class adds one box to every hook, by the branching
+    rule chi^(a,1^b)(rho u 1) = chi^(a-1,1^b)(rho) + chi^(a,1^(b-1))(rho):
+    the row of leg k at size m + 1 is row[k] + row[k - 1] of size m, a Pascal
+    step.  So each n costs w ``char_mn`` calls at size w and n - w steps of
+    at most n additions, instead of one call per hook of n at size n.
+    The seed row comes from the oracle, not from V, so ``sum --mode both``
+    still checks the hook factor and the kernel's reading of it at every n.
+    """
+    check_mu0_n(mu0, n)
+    w = mu0.weight()
+    if w:
+        row = [char_mn(Partition((w - k,) + (1,) * k), mu0) for k in range(w)]
+    elif n:
+        row, w = [1], 1  # chi^(1) on the class 1
+    else:
+        return 0  # no hook has 0 cells
+    for _ in range(n - w):
+        row = [a + b for a, b in zip(row + [0], [0] + row)]
+    return sum(c * c for c in row)
 
 
 class VerificationReport(namedtuple("VerificationReport", "mu0 mu0_prime rows")):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charsum import charsums
 from charsum.charsums import (
     FAMILIES,
     InternalConsistencyError,
@@ -24,7 +25,7 @@ from charsum.partition import (
     theorem_form_of,
 )
 from charsum.polyring import ONE_MINUS_X, IntPoly, binomial_coeff
-from charsum.characters import char_two_row, hook_factor, two_row_factor
+from charsum.characters import char_mn, char_two_row, hook_factor, padded_class, two_row_factor
 
 
 class TestSumA:
@@ -76,12 +77,12 @@ class TestSumB:
         assert sum_B(p, n) == expected
 
     def test_negative_exponent_edge(self):
-        # n = |mu0| makes the binomial exponent -2; the series reading must
-        # still match brute force
+        # n = |mu0| makes the binomial exponent 0 and the stepped oracle take
+        # no step: its value is exactly the squared char_mn seed row
         for mu0 in [[2], [3], [2, 2], [3, 2], [4, 3], [5, 4, 3, 2]]:
             p = make_partition(mu0)
             n = p.weight()
-            assert sum_B(p, n) == sum_B_bruteforce(p, n)
+            assert sum_B(p, n) == sum_B_bruteforce(p, n) == hooks_one_at_a_time(p, n)
 
     def test_part_one_rejected(self):
         with pytest.raises(ValueError, match="smallest part"):
@@ -90,6 +91,45 @@ class TestSumB:
     def test_n_below_weight_rejected(self):
         with pytest.raises(ValueError, match="below"):
             sum_B(make_partition([3, 2]), 4)
+
+
+def hooks_one_at_a_time(mu0, n):
+    """B by its definition: one border-strip character per hook (n-k, 1^k)."""
+    cls = padded_class(mu0, n)
+    return sum(char_mn(Partition((n - k,) + (1,) * k), cls) ** 2 for k in range(n))
+
+
+class TestSteppedHookOracle:
+    """``sum_B_bruteforce`` steps the hooks of |mu0| by the branching rule; the
+    reference takes every hook of n from the border-strip oracle."""
+
+    def test_equals_one_char_mn_per_hook(self):
+        for w in range(9):
+            for mu0 in enumerate_partitions(w, 2):
+                for n in range(w, w + 13):
+                    assert sum_B_bruteforce(mu0, n) == hooks_one_at_a_time(mu0, n), (mu0, n)
+
+    def test_empty_class(self):
+        empty = Partition()
+        assert sum_B_bruteforce(empty, 0) == 0
+        for n in range(1, 40):
+            assert sum_B_bruteforce(empty, n) == comb(2 * n - 2, n - 1), n
+
+    def test_at_the_benchmark_size(self):
+        mu0 = make_partition([4, 3, 3])
+        assert sum_B_bruteforce(mu0, 100) == hooks_one_at_a_time(mu0, 100)
+
+    def test_seeds_one_char_mn_per_hook_of_the_weight(self, monkeypatch):
+        calls = []
+
+        def counted(shape, cls):
+            calls.append((shape, cls))
+            return char_mn(shape, cls)
+
+        monkeypatch.setattr(charsums, "char_mn", counted)
+        mu0 = make_partition([5, 3, 2])
+        assert sum_B_bruteforce(mu0, 60) == sum_B(mu0, 60)
+        assert len(calls) == 10 and {cls for _, cls in calls} == {mu0}
 
 
 class TestLemmaVsDefinition:
