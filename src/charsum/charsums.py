@@ -120,7 +120,7 @@ def sum_A_bruteforce(mu0: Partition, n: int) -> int:
 
 
 def sum_B_bruteforce(mu0: Partition, n: int) -> int:
-    """B by definition: squared characters over the hooks (n-k, 1^k), 0 <= k < n.
+    """B: squared characters over the hooks (n-k, 1^k), 0 <= k < n, stepped from |mu0|.
 
     With w = |mu0|, the border-strip oracle gives the w hooks of w on the
     class mu0 itself (the class 1^n starts from the hook (1) at size 1).  Then
@@ -128,9 +128,10 @@ def sum_B_bruteforce(mu0: Partition, n: int) -> int:
     rule chi^(a,1^b)(rho u 1) = chi^(a-1,1^b)(rho) + chi^(a,1^(b-1))(rho):
     the row of leg k at size m + 1 is row[k] + row[k - 1] of size m, a Pascal
     step.  So each n costs w ``char_mn`` calls at size w and n - w steps of
-    at most n additions, instead of one call per hook of n at size n.
-    The seed row comes from the oracle, not from V, so ``sum --mode both``
-    still checks the hook factor and the kernel's reading of it at every n.
+    at most n additions.  The seed row comes from the oracle, not from V, so
+    ``sum --mode both`` checks the hook factor and the kernel's reading of it
+    at every n; the steps are the lemma's own padding by (1 + x), so past w
+    this is not a check of the characters at size n.
     """
     check_mu0_n(mu0, n)
     w = mu0.weight()

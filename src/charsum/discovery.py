@@ -2,9 +2,8 @@
 
 ``search_pairs`` lists every pair (mu0, mu0'), all parts >= 2 and
 |mu0'| = |mu0| + 2, whose ratio A(mu0)(n) / B(mu0')(n+2) is one constant for
-all n: those whose character factors agree, V(mu0') = T(mu0)
-(``hook_factor``, ``two_row_factor``).  Two arguments make the comparison
-exact, and a third makes it cheap:
+all n, by one comparison of character factors, V(mu0') = T(mu0)
+(``hook_factor``, ``two_row_factor``).  Two arguments make it exact:
 
 - Unitriangular.  With S = f f~ palindromic of centre c (``charsums``), the
   sequence m -> [x^(m+c)] (1+x)^(2m) S(x) combines m -> C(2m, m+s),
@@ -20,10 +19,6 @@ exact, and a third makes it cheap:
   right side has no negative entry, so mu0's even parts are 2, 4, ...,
   2^(t-1) and mu0' has the one even part 2^t: the pairs are exactly the
   paper's theorem-form mu0 and their companions, and V determines mu0'.
-- Keyed on vectors.  prod_k (1 - x^k)^(v_k) determines v (read off the
-  lowest k with v_k != 0, divide, repeat), so V(mu0') = T(mu0) exactly when
-  v(V(mu0')) = v(T(mu0)).  The join compares the two vectors above, each
-  built in O(parts), and multiplies no polynomials.
 
 ``ratio_test`` cross-checks each pair the join finds on a window of n.
 ``fit_closed_form`` returns the rational function R with
@@ -33,9 +28,10 @@ Every value returned is an int or a tuple of ints: a ratio is (p, q).
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from math import gcd
 
+from .characters import hook_factor, two_row_factor
 from .charsums import InternalConsistencyError, exact_ratio, sum_A, sum_B
 from .partition import (
     Partition,
@@ -98,35 +94,11 @@ def ratio_test(mu0: Partition, mu0p: Partition, n_lo: int, n_hi: int) -> tuple[i
     return a_ref // g, b_ref // g
 
 
-def _two_row_exponents(parts: tuple[int, ...]) -> frozenset[tuple[int, int]]:
-    """v(T(mu)) = e_1 + sum_{a in mu} (e_2a - e_a), by 1 + x^a = (1 - x^2a) / (1 - x^a),
-    as its nonzero entries (k, v_k)."""
-    v = Counter({1: 1})
-    for a in parts:
-        v[a] -= 1
-        v[2 * a] += 1
-    return frozenset(item for item in v.items() if item[1])
-
-
-def _hook_exponents(parts: tuple[int, ...]) -> frozenset[tuple[int, int]]:
-    """v(V(nu)) = e_1 - e_2 + sum_{odd b} (e_2b - e_b) + sum_{even b} e_b, by
-    1 / (1 + x) = (1 - x) / (1 - x^2), as its nonzero entries; V = 1 for no parts."""
-    v = Counter({1: 1, 2: -1} if parts else {})
-    for b in parts:
-        if b % 2:
-            v[b] -= 1
-            v[2 * b] += 1
-        else:
-            v[b] += 1
-    return frozenset(item for item in v.items() if item[1])
-
-
 def search_pairs(K: int, window: int = DEFAULT_SEARCH_WINDOW) -> list[TheoremPair]:
     """All constant-ratio pairs with |mu0| <= K and |mu0'| = |mu0| + 2.
 
     For each weight w the mu0' of weight w + 2 (smallest part >= 2) are keyed
-    by the exponent vector of V(mu0'), and each mu0 of weight w looks up that
-    of T(mu0): both are built in O(parts), with no polynomial product.  Each pair found is
+    by V(mu0'), and each mu0 of weight w looks up T(mu0).  Each pair found is
     cross-checked by ``ratio_test`` over n in [w, w + window]: a ratio other
     than 1/2, or a mu0' other than mu0's companion, is an
     InternalConsistencyError.  Output order is deterministic: weight
@@ -139,9 +111,9 @@ def search_pairs(K: int, window: int = DEFAULT_SEARCH_WINDOW) -> list[TheoremPai
     pairs = []
     for w in range(K + 1):
         # V determines mu0' (see above), so no key is shared
-        by_factor = {_hook_exponents(p.parts): p for p in enumerate_partitions(w + 2, min_part=2)}
+        by_factor = {hook_factor(p.parts): p for p in enumerate_partitions(w + 2, min_part=2)}
         for mu0 in enumerate_partitions(w, min_part=2):
-            mu0p = by_factor.get(_two_row_exponents(mu0.parts))
+            mu0p = by_factor.get(two_row_factor(mu0.parts))
             if mu0p is None:
                 continue
             ratio = ratio_test(mu0, mu0p, w, w + window)

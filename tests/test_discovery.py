@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from charsum import charsums, discovery
 from charsum.charsums import InternalConsistencyError, sum_A, sum_B, verify_theorem
-from charsum.characters import hook_factor, two_row_factor
 from charsum.cli import main
 from charsum.discovery import (
     SearchError,
@@ -164,23 +163,6 @@ class TestSearchPairs:
         # a window of 12 took both for identities: each has a part above it
         assert (make_partition([14]), make_partition([14, 2])) not in got
         assert (make_partition([14, 7]), make_partition([7, 7, 7, 2])) not in got
-
-    def test_exponent_vectors_are_exact_keys(self):
-        # vector equality <=> factor equality for T vs T, V vs V and T vs V,
-        # over every mu of weight <= 18 and nu of weight <= 20: one key per
-        # factor and one factor per key
-        keyed = [
-            (vector(p.parts), factor(p.parts))
-            for vector, factor, top in (
-                (discovery._two_row_exponents, two_row_factor, 18),
-                (discovery._hook_exponents, hook_factor, 20),
-            )
-            for w in range(top + 1)
-            for p in enumerate_partitions(w, 2)
-        ]
-        assert len(keyed) == 1012
-        vectors, factors = zip(*keyed)
-        assert len(set(vectors)) == len(set(factors)) == len(set(keyed))
 
     def test_a_ratio_other_than_one_half_is_internal_error(self, capsys, monkeypatch):
         monkeypatch.setattr(discovery, "ratio_test", lambda mu0, mu0p, n_lo, n_hi: (1, 3))
