@@ -42,14 +42,17 @@ from itertools import combinations, permutations
 from math import comb, perm
 
 from .partition import Partition, check_mu0_n, make_partition
-from .polyring import ONE_MINUS_X, IntPoly, binomial_coeff
+from .polyring import IntPoly, binomial_coeff
 
 DEFAULT_ROW_CAP = 4
 
 # Distinct (defects, remaining parts) states the oracle keeps; a brute-force
 # A at one n of the benchmark's windows (n up to 200, three parts >= 2) visits
-# at most 393, each at most four defects long.  A brute-force B visits at most
-# 20 for those classes, whatever n is: it seeds only the hooks of |mu0|.
+# at most 393, each at most four defects long.  A state's shape has
+# n - |mu0| + |remaining parts| cells, so no A state carries over to the next
+# n: a 41-n window leaves the memo full of earlier n's states, none read
+# again.  A brute-force B visits at most 20 for those classes, whatever n is:
+# it seeds only the hooks of |mu0|.
 ORACLE_CACHE_SIZE = 4096
 
 
@@ -103,7 +106,7 @@ def char_ct(lmbda: Partition, mu: Partition) -> int:
 
 def two_row_factor(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Coefficients of T(x) = (1-x) prod_i (1 + x^{a_i}) for the parts a_i."""
-    t = ONE_MINUS_X
+    t = IntPoly((1, -1))
     for a in parts:
         t = t * IntPoly([1] + [0] * (a - 1) + [1])
     return t.coeffs

@@ -60,12 +60,13 @@ class TheoremPair(
 
 def ratio_test(mu0: Partition, mu0p: Partition, n_lo: int, n_hi: int) -> tuple[int, int] | None:
     """The constant value p/q of A(mu0)(n)/B(mu0p)(n+2) on [n_lo, n_hi], if any,
-    as (p, q) in lowest terms with q > 0.
+    as (p, q) in lowest terms with q > 0; None when the ratio varies.
 
-    Ratios are compared by cross-multiplication against the first sample
-    that is not (0, 0), so zeros never divide.  Returns None when the ratio
-    varies, when B vanishes while A does not, or when both sequences are
-    identically zero (no information).
+    Neither sum is ever 0, so the first sample is a valid reference and
+    q > 0: A(n) sums squared characters over shapes that include the one-row
+    shape (n) (the empty shape at n = 0), B(n+2) over hooks that include
+    (n+2), and a one-row shape's character is 1 on every class.  Each later
+    sample is compared with the first by cross-multiplication.
     """
     if mu0p.weight() != mu0.weight() + 2:
         raise ValueError(
@@ -76,21 +77,11 @@ def ratio_test(mu0: Partition, mu0p: Partition, n_lo: int, n_hi: int) -> tuple[i
     if n_hi - n_lo < MIN_RATIO_WINDOW:
         raise ValueError(f"evidence window needs n_hi - n_lo >= {MIN_RATIO_WINDOW}")
 
-    a_ref = b_ref = None
-    for n in range(n_lo, n_hi + 1):
-        a = sum_A(mu0, n)
-        b = sum_B(mu0p, n + 2)
-        if a_ref is None:
-            if (a, b) == (0, 0):
-                continue
-            if b == 0:
-                return None  # A nonzero against zero B: no finite constant
-            a_ref, b_ref = a, b
-        elif a * b_ref != b * a_ref:
+    a_ref, b_ref = sum_A(mu0, n_lo), sum_B(mu0p, n_lo + 2)
+    for n in range(n_lo + 1, n_hi + 1):
+        if sum_A(mu0, n) * b_ref != sum_B(mu0p, n + 2) * a_ref:
             return None
-    if a_ref is None:
-        return None
-    g = gcd(a_ref, b_ref)  # the sums are non-negative, so b_ref > 0
+    g = gcd(a_ref, b_ref)
     return a_ref // g, b_ref // g
 
 

@@ -1,8 +1,10 @@
 """Exact univariate polynomials and binomial coefficients over the integers.
 
-``IntPoly`` is a dense coefficient tuple with classical convolution, and
-``horner`` evaluates a coefficient list at a point; no floating point
-anywhere.  ``binomial_coeff`` is C(e, k) for e >= 0; a negative exponent
+``IntPoly`` is a dense coefficient tuple, trimmed of trailing zeros, whose
+one operation is the classical convolution ``*``; callers multiply factors
+and read the product's ``coeffs``, so it has no equality, hash or degree of
+its own.  ``horner`` evaluates a coefficient list at a point; no floating
+point anywhere.  ``binomial_coeff`` is C(e, k) for e >= 0; a negative exponent
 raises ValueError: no sum or character needs one.
 ``central_binomial`` gives C(2m, m) and keeps its last value, so a
 sweep over consecutive m steps each one from its neighbour with one short
@@ -17,42 +19,16 @@ from math import comb
 class IntPoly:
     """Dense polynomial; index k of ``coeffs`` holds the coefficient of x^k."""
 
-    # frozen by hand, like ``partition.Partition``
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
-    def __repr__(self) -> str:
-        return f"IntPoly(coeffs={self.coeffs!r})"
-
-    def __reduce__(self):
-        return IntPoly, (self.coeffs,)
-
-    @property
-    def degree(self) -> int:
-        """Highest nonzero index; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        self.coeffs = tuple(cs)
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
         # the factors are mostly sparse (1 +- x^k, a linear factor): list
         # other's nonzero terms once rather than skip its zeros for every i
         terms = [(j, cb) for j, cb in enumerate(b) if cb]
@@ -62,9 +38,6 @@ class IntPoly:
                 for j, cb in terms:
                     out[i + j] += ca * cb
         return IntPoly(out)
-
-
-ONE_MINUS_X = IntPoly((1, -1))
 
 
 def horner(cs, x):

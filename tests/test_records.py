@@ -11,12 +11,11 @@ from charsum.charsums import sum_A, verify_theorem
 from charsum.discovery import fit_closed_form, search_pairs
 from charsum.oeis import OeisMatch
 from charsum.partition import Partition, theorem_form_of
-from charsum.polyring import IntPoly, horner
+from charsum.polyring import horner
 
 # type name -> (a function building one value, the name of one of its fields)
 RECORDS = {
     "Partition": (lambda: Partition((3, 2)), "parts"),
-    "IntPoly": (lambda: IntPoly((1, -1)), "coeffs"),
     "TheoremForm": (lambda: theorem_form_of(Partition((5, 3, 2))), "t"),
     "VerificationReport": (lambda: verify_theorem(Partition((3,)), 3, 5), "rows"),
     "TheoremPair": (lambda: search_pairs(2)[0], "ratio"),
@@ -60,12 +59,10 @@ def test_clone_is_equal_with_equal_hash(record, clone):
 
 def test_repr_names_the_field():
     assert repr(Partition((3, 2))) == "Partition(parts=(3, 2))"
-    assert repr(IntPoly((1, -1))) == "IntPoly(coeffs=(1, -1))"
     assert repr(theorem_form_of(Partition((5, 3, 2)))) == "TheoremForm(odd_parts=(5, 3), t=2)"
 
 
 def test_values_of_two_types_are_never_equal():
-    assert Partition((3,)) != IntPoly((3,))
     assert Partition((3,)) != (3,)
 
 
