@@ -31,7 +31,12 @@
    its 2d defects and nothing else.  Only the class's parts >= 2 are removed
    one by one; the 1s are closed at once by the hook-length formula in
    Frobenius coordinates, so the recursion is as deep as the number of
-   parts >= 2 and the memo key carries no 1s.
+   parts >= 2 and the memo key carries no 1s.  A state's shape has the
+   cells of the parts not yet removed, so no state of one weight is read by
+   another: the memo is unbounded and ``char_mn`` clears it when the
+   shape's weight differs from the one it holds.  A brute-force A keeps one
+   n's states; a brute-force B, seeded at |mu0|, keeps its states over the
+   whole window.
 """
 
 from __future__ import annotations
@@ -45,15 +50,6 @@ from .partition import Partition, check_mu0_n, make_partition
 from .polyring import IntPoly, binomial_coeff
 
 DEFAULT_ROW_CAP = 4
-
-# Distinct (defects, remaining parts) states the oracle keeps; a brute-force
-# A at one n of the benchmark's windows (n up to 200, three parts >= 2) visits
-# at most 393, each at most four defects long.  A state's shape has
-# n - |mu0| + |remaining parts| cells, so no A state carries over to the next
-# n: a 41-n window leaves the memo full of earlier n's states, none read
-# again.  A brute-force B visits at most 20 for those classes, whatever n is:
-# it seeds only the hooks of |mu0|.
-ORACLE_CACHE_SIZE = 4096
 
 
 class RowCapExceeded(ValueError):
@@ -143,9 +139,20 @@ def _two_row_route(lmbda: Partition, mu: Partition) -> int:
     return char_two_row(lmbda.weight(), j, Partition([p for p in mu if p > 1]))
 
 
+# The shape weight whose states ``_mn`` holds.  The value is read and
+# replaced as a whole, so a concurrent caller may clear another caller's
+# states, costing reuse, but never reads a wrong value.
+_mn_weight = 0
+
+
 def char_mn(lmbda: Partition, mu: Partition) -> int:
     """Character value by border-strip removal on the Maya diagram (the oracle path)."""
+    global _mn_weight
     _check_weights(lmbda, mu)
+    n = lmbda.weight()
+    if n != _mn_weight:
+        _mn.cache_clear()
+        _mn_weight = n
     parts = mu.parts
     # the class is non-increasing, so its 1s are a suffix
     return _mn(_defects(lmbda.parts), parts[: len(parts) - parts.count(1)])
@@ -163,7 +170,7 @@ def _defects(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(defects))
 
 
-@lru_cache(maxsize=ORACLE_CACHE_SIZE)
+@lru_cache(maxsize=None)
 def _mn(defects: tuple[int, ...], parts: tuple[int, ...]) -> int:
     """chi^lambda on the class ``parts`` padded with 1s.
 

@@ -13,8 +13,9 @@ counts each character twice, because the two-row polynomial P has
 c_j = -c_{n+1-j}; hence its divisor 2.  Since (1+x)^e is its own reversal,
 each norm is one coefficient of (1+x)^(2e) * f(x) f~(x) with f = T or V.
 That small polynomial f f~ is palindromic of degree 2 deg f, built once per
-(family, mu0) and cached; ``FAMILIES`` holds each family's factor and
-divisor.  ``exact_ratio`` derives and checks R(n) = family(n) / C(2n, n).
+(family, mu0) and cached, one class per family; ``FAMILIES`` holds each
+family's factor and divisor.  ``fit_closed_form`` derives and checks
+R(n) = family(n) / C(2n, n).
 
 With m = n - h (see ``_family``) and top = deg f, both small and the row of
 (1+x)^(2m) are symmetric, so the sum reads half the window:
@@ -51,16 +52,14 @@ class InternalConsistencyError(RuntimeError):
     """A value violated an identity the math guarantees (implementation bug)."""
 
 
-# Distinct (family, mu0) pairs whose small polynomial stays cached; a search
-# touches two per pair it finds, 130 with K = 16.
-SMALL_POLY_CACHE_SIZE = 1024
-
 # family -> (factor, divisor): with m = n - h, f = factor(mu0) and small(x) = f(x) f~(x),
 # the family's sum at n is [x^(m + deg f)] (1+x)^(2m) small(x) / divisor.
 FAMILIES = {"A": (two_row_factor, 2), "B": (hook_factor, 1)}
 
 
-@lru_cache(maxsize=SMALL_POLY_CACHE_SIZE)
+# Every path sweeps n for at most one class per family: a ``verify`` row or a
+# search pair reads A(mu0) and B(mu0'), ``fit`` and ``sum`` one of them.
+@lru_cache(maxsize=len(FAMILIES))
 def _small_poly(family: str, parts: tuple[int, ...]) -> tuple[int, ...]:
     """Coefficients of f(x) f~(x), f the character factor of family A or B for mu0."""
     f = FAMILIES[family][0](parts)
@@ -184,7 +183,7 @@ def _divide_linear(cs: tuple[int, ...], a: int, b: int) -> list[int] | None:
     return q if carry == 0 else None
 
 
-def exact_ratio(family: str, mu0: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def fit_closed_form(mu0: Partition, family: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """R(n) = family(mu0)(n) / C(2n, n) as (numerator, denominator) in lowest terms:
     tuples of integer coefficients, low to high, whose gcd (content) is 1.
 

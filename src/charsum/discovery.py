@@ -21,8 +21,9 @@ all n, by one comparison of character factors, V(mu0') = T(mu0)
   paper's theorem-form mu0 and their companions, and V determines mu0'.
 
 ``ratio_test`` cross-checks each pair the join finds on a window of n.
-``fit_closed_form`` returns the rational function R with
-family(n) = C(2n, n) * R(n) that ``charsums.exact_ratio`` derives and checks.
+``fit_closed_form`` is imported from ``charsums``, next to the sums, and
+published here (``charsum.fit_closed_form``, the ``fit`` command): it
+derives and checks the rational function R with family(n) = C(2n, n) * R(n).
 Every value returned is an int or a tuple of ints: a ratio is (p, q).
 """
 
@@ -32,7 +33,7 @@ from collections import namedtuple
 from math import gcd
 
 from .characters import hook_factor, two_row_factor
-from .charsums import InternalConsistencyError, exact_ratio, sum_A, sum_B
+from .charsums import InternalConsistencyError, fit_closed_form, sum_A, sum_B
 from .partition import (
     Partition,
     check_mu0_n,
@@ -118,13 +119,3 @@ def search_pairs(K: int, window: int = DEFAULT_SEARCH_WINDOW) -> list[TheoremPai
             pairs.append(TheoremPair(mu0, mu0p, ratio, w, w + window, True))
     return pairs
 
-
-def fit_closed_form(mu0: Partition, family: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Find R with family(mu0)(n) = C(2n, n) * R(n), exactly, for all n.
-
-    R is derived and checked by ``charsums.exact_ratio`` and returned as its
-    (numerator, denominator): integer coefficients, low to high, in lowest
-    terms with content 1 and a positive leading denominator coefficient.  Its
-    degree, max(deg numerator, deg denominator), is at most 2|mu0| + 1.
-    """
-    return exact_ratio(family, mu0)

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charsum.characters import (
-    ORACLE_CACHE_SIZE,
     RowCapExceeded,
     _defects,
     _dimension,
@@ -114,14 +113,22 @@ class TestCharMn:
             for lam in enumerate_partitions(n):
                 assert char_mn(lam, ones) == syt(lam.parts), lam
 
-    @pytest.mark.parametrize("mu0", [(6, 2, 2), (5, 3, 2), (4, 4, 2), (4, 3, 3)])
+    # the benchmark's oracle classes and the states one A at n = 200 visits
+    A_STATES_AT_200 = {(6, 2, 2): 392, (5, 3, 2): 392, (4, 4, 2): 393, (4, 3, 3): 393}
+
+    @pytest.mark.parametrize("mu0", list(A_STATES_AT_200))
     def test_memo_holds_one_n_of_a_brute_force_a(self, mu0):
-        # the benchmark's oracle classes at its largest n: every state the
-        # memo misses is stored and none is evicted within one n
+        # on the benchmark's A window each n clears the states of the n
+        # before, so the window ends as n = 200 alone does
+        states = self.A_STATES_AT_200[mu0]
+        mu0 = make_partition(list(mu0))
         _mn.cache_clear()
-        sum_A_bruteforce(make_partition(list(mu0)), 200)
-        info = _mn.cache_info()
-        assert info.misses == info.currsize < ORACLE_CACHE_SIZE
+        sum_A_bruteforce(mu0, 200)
+        alone = _mn.cache_info()
+        for n in range(160, 201):
+            sum_A_bruteforce(mu0, n)
+        assert _mn.cache_info() == alone
+        assert alone.misses == alone.currsize == states
 
 
 def _partitions_of(n, max_len=None):
@@ -136,6 +143,35 @@ def _partitions_of(n, max_len=None):
 def test_mn_agrees_with_ct_on_three_rows(pair):
     lam, mu = pair
     assert char_mn(lam, mu) == char_ct(lam, mu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.integers(0, 12).flatmap(lambda n: st.tuples(_partitions_of(n), _partitions_of(n))),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_memo_cleared_by_weight_keeps_every_value(pairs):
+    # pairs of mixed weights in order: each new weight clears the memo
+    _mn.cache_clear()
+    in_order = [char_mn(lam, mu) for lam, mu in pairs]
+    held = _mn.cache_info().currsize
+    fresh = []
+    for lam, mu in pairs:
+        _mn.cache_clear()
+        fresh.append(char_mn(lam, mu))
+    assert in_order == fresh
+    # the memo holds only the states of the last run of one weight
+    last = pairs[-1][0].weight()
+    run = len(pairs)
+    while run and pairs[run - 1][0].weight() == last:
+        run -= 1
+    _mn.cache_clear()
+    for lam, mu in pairs[run:]:
+        char_mn(lam, mu)
+    assert _mn.cache_info().currsize == held
 
 
 def _conjugate(lam):

@@ -11,6 +11,7 @@ from charsum.charsums import (
     FAMILIES,
     InternalConsistencyError,
     _family,
+    _small_poly,
     sum_A,
     sum_A_bruteforce,
     sum_B,
@@ -25,7 +26,7 @@ from charsum.partition import (
     theorem_form_of,
 )
 from charsum.polyring import IntPoly, binomial_coeff
-from charsum.characters import char_mn, char_two_row, hook_factor, padded_class, two_row_factor
+from charsum.characters import _mn, char_mn, char_two_row, hook_factor, padded_class, two_row_factor
 
 
 class TestSumA:
@@ -131,6 +132,16 @@ class TestSteppedHookOracle:
         assert sum_B_bruteforce(mu0, 60) == sum_B(mu0, 60)
         assert len(calls) == 10 and {cls for _, cls in calls} == {mu0}
 
+    def test_a_window_misses_the_memo_only_at_its_first_n(self):
+        # every n seeds at |mu0|, so the memo keeps the seed's states
+        mu0 = make_partition([5, 3, 2])
+        _mn.cache_clear()
+        sum_B_bruteforce(mu0, 77)
+        misses = _mn.cache_info().misses
+        for n in range(78, 101):
+            sum_B_bruteforce(mu0, n)
+        assert _mn.cache_info().misses == misses
+
 
 def partitions_min_two(max_weight):
     """Partitions with every part >= 2 and weight <= max_weight."""
@@ -231,6 +242,11 @@ class TestKernelProperties:
         report = verify_theorem(make_partition([5, 3, 2]), 3000, 3020)
         assert report.all_hold and len(report.rows) == 21
         assert len(calls) <= 2, calls
+
+    def test_a_verify_sweep_builds_one_small_poly_per_family(self):
+        _small_poly.cache_clear()
+        verify_theorem(make_partition([5, 3, 2]), 3000, 3020)
+        assert _small_poly.cache_info().misses == 2
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_small_poly_is_palindromic_of_odd_length(self, family):

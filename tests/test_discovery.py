@@ -123,6 +123,12 @@ class TestSearchPairs:
             assert report.all_hold
             assert report.mu0_prime == pair.mu0_prime
 
+    def test_builds_each_small_poly_once(self):
+        # a pair reads A(mu0) and B(mu0') on its window; no class comes back
+        charsums._small_poly.cache_clear()
+        assert len(search_pairs(14, 12)) == 44
+        assert charsums._small_poly.cache_info().misses == 88
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="K"):
             search_pairs(1, 8)
@@ -198,12 +204,12 @@ class TestFitClosedForm:
         assert gcd(*num, *den) == 1 and den[-1] > 0
 
     def test_degree_is_at_most_twice_weight_plus_one(self):
-        # the bound exact_ratio's docstring derives, reached at some mu0
+        # the bound fit_closed_form's docstring derives, reached at some mu0
         slack = []
         for w in range(15):
             for mu0 in enumerate_partitions(w, 2):
                 for family in "AB":
-                    num, den = charsums.exact_ratio(family, mu0)
+                    num, den = fit_closed_form(mu0, family)
                     slack.append(max(len(num), len(den)) - 1 - (2 * w + 1))
         assert max(slack) == 0
 
