@@ -25,7 +25,7 @@ _SOURCE = {
     "sum_B_bruteforce": "charsums",
     "verify_theorem": "charsums",
     "search_pairs": "discovery",
-    "fit_closed_form": "discovery",
+    "fit_closed_form": "charsums",
     "OeisClient": "oeis",
     "PartitionFormatError": "partition",
     "RowCapExceeded": "characters",

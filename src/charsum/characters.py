@@ -46,7 +46,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, perm
 
-from .partition import Partition, check_mu0_n, make_partition
+from .partition import Partition, check_mu0_n
 from .polyring import IntPoly, binomial_coeff
 
 DEFAULT_ROW_CAP = 4
@@ -77,7 +77,7 @@ def char_ct(lmbda: Partition, mu: Partition) -> int:
         raise RowCapExceeded(
             f"lambda has {m} rows, cap is {DEFAULT_ROW_CAP}; use char_mn instead"
         )
-    target = lmbda.parts
+    target = lmbda
     # prod_{i<j} (1 - x_j/x_i) is the Vandermonde determinant over
     # prod_i x_i^(m-1-i): one term sgn(s) prod_i x_i^(i - s(i)) per permutation
     # s.  Power sums only raise exponents, so a term with an exponent already
@@ -89,7 +89,7 @@ def char_ct(lmbda: Partition, mu: Partition) -> int:
         if all(e <= t for e, t in zip(exps, target)):
             inversions = sum(a > b for a, b in combinations(perm, 2))
             product[exps] = -1 if inversions % 2 else 1
-    for part in mu.parts:
+    for part in mu:
         grown = {}
         for exps, c in product.items():
             for i in range(m):
@@ -127,7 +127,7 @@ def char_two_row(n: int, j: int, mu0: Partition) -> int:
         raise ValueError(f"j must be in [0, {n + 1}], got {j}")
     check_mu0_n(mu0, n)
     e = n - mu0.weight()
-    return sum(t * binomial_coeff(e, j - i) for i, t in enumerate(two_row_factor(mu0.parts)) if t)
+    return sum(t * binomial_coeff(e, j - i) for i, t in enumerate(two_row_factor(mu0)) if t)
 
 
 def _two_row_route(lmbda: Partition, mu: Partition) -> int:
@@ -153,9 +153,8 @@ def char_mn(lmbda: Partition, mu: Partition) -> int:
     if n != _mn_weight:
         _mn.cache_clear()
         _mn_weight = n
-    parts = mu.parts
     # the class is non-increasing, so its 1s are a suffix
-    return _mn(_defects(lmbda.parts), parts[: len(parts) - parts.count(1)])
+    return _mn(_defects(lmbda), mu[: len(mu) - mu.count(1)])
 
 
 def _defects(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -241,4 +240,4 @@ ROUTES = {"mn": char_mn, "ct": char_ct, "tworow": _two_row_route}
 def padded_class(mu0: Partition, n: int) -> Partition:
     """The cycle type mu0 padded with 1s up to weight n."""
     check_mu0_n(mu0, n)
-    return make_partition(list(mu0.parts) + [1] * (n - mu0.weight()))
+    return Partition(mu0 + (1,) * (n - mu0.weight()))

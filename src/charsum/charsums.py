@@ -73,7 +73,7 @@ def _family(family: str, mu0: Partition) -> tuple[int, int, tuple[int, ...]]:
     h = mu0.weight()
     if family == "B" and not h:
         h = 1  # the class 1^n peels one of its 1s (see ``characters``)
-    return h, FAMILIES[family][1], _small_poly(family, mu0.parts)
+    return h, FAMILIES[family][1], _small_poly(family, mu0)
 
 
 def _family_sum(family: str, mu0: Partition, n: int) -> int:

@@ -48,8 +48,9 @@ from .charsums import (
 from .partition import PartitionFormatError, format_partition, parse_partition
 
 # ``discovery``, ``oeis`` and ``json`` are imported by the commands that use
-# them, so a ``sum``, ``verify`` or ``char`` run starts without them.  Each
-# import binds its names as the command runs, so a test's monkeypatch is seen.
+# them, so a ``sum``, ``verify`` or ``char`` run starts without them, and a
+# ``fit`` run without ``discovery``.  Each import binds its names as the
+# command runs, so a test's monkeypatch is seen.
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -237,7 +238,7 @@ def cmd_search(args) -> int:
 def cmd_fit(args) -> int:
     import json
 
-    from .discovery import fit_closed_form
+    from .charsums import fit_closed_form
 
     mu0 = parse_partition(args.mu0)
     num, den = fit_closed_form(mu0, args.family)

@@ -21,9 +21,9 @@ all n, by one comparison of character factors, V(mu0') = T(mu0)
   paper's theorem-form mu0 and their companions, and V determines mu0'.
 
 ``ratio_test`` cross-checks each pair the join finds on a window of n.
-``fit_closed_form`` is imported from ``charsums``, next to the sums, and
-published here (``charsum.fit_closed_form``, the ``fit`` command): it
-derives and checks the rational function R with family(n) = C(2n, n) * R(n).
+``fit_closed_form``, which derives and checks the rational function R with
+family(n) = C(2n, n) * R(n), lives in ``charsums`` next to the sums; this
+module keeps the name for callers that read it from here.
 Every value returned is an int or a tuple of ints: a ratio is (p, q).
 """
 
@@ -103,9 +103,9 @@ def search_pairs(K: int, window: int = DEFAULT_SEARCH_WINDOW) -> list[TheoremPai
     pairs = []
     for w in range(K + 1):
         # V determines mu0' (see above), so no key is shared
-        by_factor = {hook_factor(p.parts): p for p in enumerate_partitions(w + 2, min_part=2)}
+        by_factor = {hook_factor(p): p for p in enumerate_partitions(w + 2, min_part=2)}
         for mu0 in enumerate_partitions(w, min_part=2):
-            mu0p = by_factor.get(two_row_factor(mu0.parts))
+            mu0p = by_factor.get(two_row_factor(mu0))
             if mu0p is None:
                 continue
             ratio = ratio_test(mu0, mu0p, w, w + window)

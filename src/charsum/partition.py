@@ -1,10 +1,12 @@
 """Integer partitions, their enumeration, and the odd-parts-plus-power-run form.
 
-A partition is stored as a non-increasing tuple of positive integers.  The
-special "theorem form" decomposes a partition with smallest part >= 2 into a
-multiset of odd parts >= 3 together with a run of consecutive powers of two
-2, 4, ..., 2^(t-1) (empty when t = 1).  Its companion replaces the run by the
-single part 2^t, raising the weight by exactly 2.
+A ``Partition`` is a tuple that checks its parts, non-increasing positive
+integers, when it is built; it equals, and hashes like, the plain tuple of its
+parts, and slicing it gives a plain tuple.  The special "theorem form"
+decomposes a partition with smallest part >= 2 into a multiset of odd parts
+>= 3 together with a run of consecutive powers of two 2, 4, ..., 2^(t-1)
+(empty when t = 1).  Its companion replaces the run by the single part 2^t,
+raising the weight by exactly 2.
 """
 
 from __future__ import annotations
@@ -18,57 +20,34 @@ class PartitionFormatError(ValueError):
     """Raised when a partition string cannot be tokenized."""
 
 
-class Partition:
-    """Immutable non-increasing sequence of positive integers."""
+class Partition(tuple):
+    """A non-increasing tuple of positive integers, checked when it is built."""
 
-    # Frozen by hand (assignment raises; equality, hash and repr read the one
-    # field): a class decorator that generates these would import ``inspect``,
-    # about 10 ms of every CLI start.
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(parts)
+    def __new__(cls, parts: Iterable[int] = ()):
+        self = tuple.__new__(cls, parts)
         # checked at C speed; the loops only word the error
-        if parts and not (
-            set(map(type, parts)) == {int} and parts[-1] >= 1 and all(map(ge, parts, parts[1:]))
+        if self and not (
+            set(map(type, self)) == {int} and self[-1] >= 1 and all(map(ge, self, self[1:]))
         ):
-            for p in parts:
+            for p in self:
                 if isinstance(p, bool) or not isinstance(p, int) or p < 1:
                     raise ValueError(f"partition parts must be positive integers, got {p!r}")
-            for a, b in zip(parts, parts[1:]):
+            for a, b in zip(self, self[1:]):
                 if a < b:
-                    raise ValueError(f"parts must be non-increasing, got {parts}")
-        object.__setattr__(self, "parts", parts)
+                    raise ValueError(f"parts must be non-increasing, got {tuple(self)}")
+        return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
-    def __repr__(self) -> str:
-        return f"Partition(parts={self.parts!r})"
-
-    def __reduce__(self):
-        return Partition, (self.parts,)
+    @property
+    def parts(self) -> tuple[int, ...]:
+        return tuple(self)
 
     def weight(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
+    def __repr__(self) -> str:
+        return f"Partition(parts={tuple(self)!r})"
 
     def __str__(self) -> str:
         return format_partition(self)
@@ -106,7 +85,7 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(p: Partition) -> str:
     """Comma-separated parts; the empty partition formats as ""."""
-    return ",".join(str(x) for x in p.parts)
+    return ",".join(map(str, p))
 
 
 def enumerate_partitions(n: int, min_part: int = 1) -> Iterator[Partition]:

@@ -83,6 +83,15 @@ class TestValueSemantics:
         q = clone(p)
         assert q == p and hash(q) == hash(p) and q.parts == (3, 2, 2)
 
+    @given(raw=st.lists(st.integers(1, 10**30), max_size=12))
+    def test_any_valid_parts_round_trip_through_text_and_pickle(self, raw):
+        p = Partition(sorted(raw, reverse=True))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            q = pickle.loads(pickle.dumps(p, protocol))
+            assert type(q) is Partition and q.parts == p.parts
+        q = parse_partition(format_partition(p))
+        assert type(q) is Partition and q.parts == p.parts
+
     def test_parts_cannot_be_assigned(self):
         p = make_partition([3])
         with pytest.raises(AttributeError):

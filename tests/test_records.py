@@ -62,8 +62,13 @@ def test_repr_names_the_field():
     assert repr(theorem_form_of(Partition((5, 3, 2)))) == "TheoremForm(odd_parts=(5, 3), t=2)"
 
 
-def test_values_of_two_types_are_never_equal():
-    assert Partition((3,)) != (3,)
+def test_a_partition_equals_the_tuple_of_its_parts():
+    # a Partition is a tuple that checks its parts, so it is a key for its plain tuple
+    for parts in [(), (3,), (5, 3, 2)]:
+        p = Partition(parts)
+        assert p == parts and hash(p) == hash(parts) and {parts: "found"}[p] == "found"
+    sliced = Partition((5, 3, 2))[1:]
+    assert type(sliced) is tuple and sliced == (3, 2)
 
 
 def test_rational_function_evaluates():
