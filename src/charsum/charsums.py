@@ -14,8 +14,8 @@ c_j = -c_{n+1-j}; hence its divisor 2.  Since (1+x)^e is its own reversal,
 each norm is one coefficient of (1+x)^(2e) * f(x) f~(x) with f = T or V.
 That small polynomial f f~ is palindromic of degree 2 deg f, built once per
 (family, mu0) and cached, one class per family; ``FAMILIES`` holds each
-family's factor and divisor.  ``fit_closed_form`` derives and checks
-R(n) = family(n) / C(2n, n).
+family's factor and divisor.  ``fit_closed_form`` derives R(n) =
+family(n) / C(2n, n) by one O(top^2) recurrence on coefficient lists.
 
 With m = n - h (see ``_family``) and top = deg f, both small and the row of
 (1+x)^(2m) are symmetric, so the sum reads half the window:
@@ -168,7 +168,12 @@ def verify_theorem(mu0: Partition, n_lo: int, n_hi: int) -> VerificationReport:
     return VerificationReport(mu0, mu0p, rows)
 
 
-def _divide_linear(cs: tuple[int, ...], a: int, b: int) -> list[int] | None:
+def _times_linear(cs, a: int, b: int) -> list[int]:
+    """The coefficients of sum cs[k] n^k times a*n + b."""
+    return [b * c + a * d for c, d in zip((*cs, 0), (0, *cs))]
+
+
+def _divide_linear(cs, a: int, b: int) -> list[int] | None:
     """The integer quotient of sum cs[k] n^k by a*n + b, or None if it leaves a
     remainder.  With gcd(a, b) = 1, Gauss's lemma makes every step an exact
     integer division whenever a*n + b divides the polynomial over Q.
@@ -187,21 +192,26 @@ def fit_closed_form(mu0: Partition, family: str) -> tuple[tuple[int, ...], tuple
     """R(n) = family(mu0)(n) / C(2n, n) as (numerator, denominator) in lowest terms:
     tuples of integer coefficients, low to high, whose gcd (content) is 1.
 
-    With h, the divisor and small(x) from ``_family`` and m = n - h, the
-    family is sum_j c_j C(2m, m + s_j) / divisor over the coefficients c_j of
-    small(x), where s_j = top - j and top = deg small / 2.  small is
-    palindromic, so the terms at s and -s are equal.  Over C(2n, n) each term
-    is a product of linear factors in n:
+    With h, the divisor and small(x) from ``_family``, m = n - h and
+    top = deg small / 2, the family is (c_top C(2m, m) + 2 sum_{s=1..top}
+    c_{top+s} C(2m, m + s)) / divisor, c_j the coefficients of small(x)
+    (``_family_sum``).  Over C(2n, n) each term is a product of linear
+    factors in n:
 
       C(2m, m) / C(2n, n)     = prod_{t=0..h-1} (n - t) / (2 (2(n - t) - 1))
-      C(2m, m + s) / C(2m, m) = prod_{i=1..|s|} (m - i + 1) / (m + i)
+      C(2m, m + s) / C(2m, m) = prod_{i=1..s} (m - i + 1) / (m + i)
 
     so over the common denominator
-    divisor * 2^h prod_t (2n - 2t - 1) prod_{i<=top} (m + i),
-    numerator and denominator are integer polynomials of degree at most
-    2|mu0| + 1.  The denominator's linear factors are distinct, so dropping
-    each one that divides the numerator leaves R in lowest terms.  Every a is
-    positive, and so is the denominator's leading coefficient.
+    divisor * 2^h prod_t (2n - 2t - 1) prod_{i<=top} (m + i) the numerator
+    is prod_t (n - t) U_top, with P_0 = 1, U_0 = c_top and
+
+      P_s = P_{s-1} (m - s + 1),   U_s = U_{s-1} (m + s) + 2 c_{top+s} P_s,
+
+    one pass of O(top^2) integer operations; it and the denominator have
+    degree at most 2|mu0| + 1.  The denominator's linear factors are
+    distinct, so dropping each one that divides the numerator leaves R in
+    lowest terms.  Every a is positive, and so is the denominator's leading
+    coefficient.
 
     R(n) * C(2n, n) is checked against the family's sum at n = |mu0| + k,
     k = 0 .. D + 3, D = deg R; a mismatch is an InternalConsistencyError.
@@ -210,31 +220,25 @@ def fit_closed_form(mu0: Partition, family: str) -> tuple[tuple[int, ...], tuple
     check_mu0_n(mu0, n_lo)
     h, divisor, small = _family(family, mu0)
     top = len(small) // 2
-    total = [0] * (top + 1)
-    for s, c in enumerate(small[top:]):
-        if not c:
-            continue
-        term = IntPoly((c if s == 0 else 2 * c,))
-        for i in range(1, s + 1):
-            term = term * IntPoly((1 - i - h, 1))  # m - i + 1
-        for i in range(s + 1, top + 1):
-            term = term * IntPoly((i - h, 1))  # m + i
-        for k, v in enumerate(term.coeffs):
-            total[k] += v
-    num = IntPoly(total)
+    p, num = [1], [small[top]]
+    for s in range(1, top + 1):
+        p = _times_linear(p, 1, 1 - s - h)  # times m - s + 1
+        num = _times_linear(num, 1, s - h)  # times m + s
+        num = [u + 2 * small[top + s] * v for u, v in zip(num, p)]
     for t in range(h):
-        num = num * IntPoly((-t, 1))
-    # linear factors a*n + b of the denominator, as (b, a)
-    factors = [(-2 * t - 1, 2) for t in range(h)] + [(i - h, 1) for i in range(1, top + 1)]
-    den = IntPoly((divisor * 2**h,))
-    for b, a in factors:
-        quotient = _divide_linear(num.coeffs, a, b)
+        num = _times_linear(num, 1, -t)
+    while not num[-1]:  # for A the leading coefficient is f(1)^2 = 0
+        num.pop()
+    den = [divisor * 2**h]
+    # the denominator's linear factors a*n + b
+    for a, b in [(2, -2 * t - 1) for t in range(h)] + [(1, i - h) for i in range(1, top + 1)]:
+        quotient = _divide_linear(num, a, b)
         if quotient is None:
-            den = den * IntPoly((b, a))
+            den = _times_linear(den, a, b)
         else:
-            num = IntPoly(quotient)
-    content = gcd(*num.coeffs, *den.coeffs)
-    num, den = (tuple(c // content for c in p.coeffs) for p in (num, den))
+            num = quotient
+    content = gcd(*num, *den)
+    num, den = (tuple(c // content for c in cs) for cs in (num, den))
     value = sum_A if family == "A" else sum_B  # module-level names, so wrappers see the calls
     for n in range(n_lo, n_lo + max(len(num), len(den)) + 3):
         d = horner(den, n)

@@ -48,9 +48,9 @@ from .charsums import (
 from .partition import PartitionFormatError, format_partition, parse_partition
 
 # ``discovery``, ``oeis`` and ``json`` are imported by the commands that use
-# them, so a ``sum``, ``verify`` or ``char`` run starts without them, and a
-# ``fit`` run without ``discovery``.  Each import binds its names as the
-# command runs, so a test's monkeypatch is seen.
+# them, not by ``exit_codes``, so a ``sum``, ``verify`` or ``char`` run starts
+# without them, failing or not, and a ``fit`` run without ``discovery``.  Each
+# import binds its names as the command runs, so a test's monkeypatch is seen.
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -71,22 +71,22 @@ def exit_codes() -> tuple[tuple[type[Exception], int, str | None], ...]:
     it prints (None: the exception's own message).
 
     The first class that matches wins, so every subclass of ValueError comes
-    before ValueError.  ``main`` reads the table only when a command raises;
-    it imports ``discovery`` and ``oeis`` for their error classes then.
+    before ValueError.  ``discovery`` and ``oeis`` are not imported: their
+    classes are listed only once loaded, since no exception of theirs exists before.
     """
-    from .discovery import SearchError
-    from .oeis import OeisError
-
-    return (
+    discovery = sys.modules.get(f"{__package__}.discovery")
+    oeis = sys.modules.get(f"{__package__}.oeis")
+    rows = (
         (PartitionFormatError, EXIT_USAGE, None),
         (UsageError, EXIT_USAGE, None),
         (InternalConsistencyError, EXIT_MISMATCH, None),
-        (SearchError, EXIT_SEARCH, None),
-        (OeisError, EXIT_NETWORK, None),
+        (discovery and discovery.SearchError, EXIT_SEARCH, None),
+        (oeis and oeis.OeisError, EXIT_NETWORK, None),
         (ValueError, EXIT_PRECONDITION, None),
         # the border-strip oracle recurses once per part >= 2 of the class
         (RecursionError, EXIT_PRECONDITION, "the class has too many parts >= 2 for the border-strip oracle"),
     )
+    return tuple(row for row in rows if row[0])
 
 
 def _parse_range(text: str) -> tuple[int, int]:

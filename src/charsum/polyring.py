@@ -6,9 +6,8 @@ and read the product's ``coeffs``, so it has no equality, hash or degree of
 its own.  ``horner`` evaluates a coefficient list at a point; no floating
 point anywhere.  ``binomial_coeff`` is C(e, k) for e >= 0; a negative exponent
 raises ValueError: no sum or character needs one.
-``central_binomial`` gives C(2m, m) and keeps its last value, so a
-sweep over consecutive m steps each one from its neighbour with one short
-multiply and divide instead of a fresh ``comb``.
+``central_binomial`` gives C(2m, m) and keeps its last value, so an ascending
+sweep steps each m from the one before by a short multiply and divide.
 """
 
 from __future__ import annotations
@@ -54,20 +53,18 @@ def binomial_coeff(e: int, k: int) -> int:
 
 
 # The last (m, C(2m, m)) pair ``central_binomial`` returned, from C(0, 0) = 1.
-# A sweep asks for its neighbours: a ``verify`` row reads A and B at one m,
-# the next row at m + 1.  The pair is read and replaced as a whole, so a
-# concurrent caller may step from another caller's pair but never reads a
-# wrong value.
+# A sweep ascends: a ``verify`` row reads A and B at one m, the next row at
+# m + 1.  The pair is read and replaced as a whole, so a concurrent caller
+# may step from another caller's pair but never reads a wrong value.
 _central = (0, 1)
 
 
 def central_binomial(m: int) -> int:
     """C(2m, m) for m >= 0.
 
-    A request at the kept m or m +- 1 is exact without a ``comb``:
+    A request at the kept m or m + 1 is exact without a ``comb``:
 
       C(2m + 2, m + 1) = C(2m, m) * 2(2m + 1) / (m + 1)
-      C(2m - 2, m - 1) = C(2m, m) * m / (2(2m - 1))
 
     Any other m is seeded with one ``binomial_coeff(2m, m)``.
     """
@@ -79,8 +76,6 @@ def central_binomial(m: int) -> int:
         value = c
     elif k == m - 1:
         value = c * 2 * (2 * k + 1) // m
-    elif k == m + 1:
-        value = c * k // (2 * (2 * k - 1))
     else:
         value = binomial_coeff(2 * m, m)  # the module-level name, so wrappers see the call
     _central = (m, value)

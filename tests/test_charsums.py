@@ -1,17 +1,19 @@
 """The two sum families: closed constant-term route vs brute-force route."""
 
-from math import comb
+from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from charsum import charsums
 from charsum.charsums import (
     FAMILIES,
     InternalConsistencyError,
+    _divide_linear,
     _family,
     _small_poly,
+    _times_linear,
     sum_A,
     sum_A_bruteforce,
     sum_B,
@@ -297,6 +299,47 @@ class TestInternalConsistency:
     def test_error_type_is_distinct(self):
         assert issubclass(InternalConsistencyError, RuntimeError)
         assert not issubclass(InternalConsistencyError, ValueError)
+
+
+def term_by_term_numerator(mu0, family):
+    """The numerator of ``fit_closed_form`` before reducing, each term
+    c_s prod_{i<=s} (m - i + 1) prod_{s<i<=top} (m + i) built alone."""
+    h, _, small = _family(family, mu0)
+    top = len(small) // 2
+    total = [0] * (top + 1)
+    for s, c in enumerate(small[top:]):
+        term = IntPoly((c if s == 0 else 2 * c,))
+        for i in range(1, s + 1):
+            term = term * IntPoly((1 - i - h, 1))  # m - i + 1
+        for i in range(s + 1, top + 1):
+            term = term * IntPoly((i - h, 1))  # m + i
+        for k, v in enumerate(term.coeffs):
+            total[k] += v
+    num = IntPoly(total)
+    for t in range(h):
+        num = num * IntPoly((-t, 1))
+    return list(num.coeffs)
+
+
+class TestFitArithmetic:
+    @settings(max_examples=150, deadline=None)
+    @given(mu0=partitions_min_two(16), family=st.sampled_from(sorted(FAMILIES)))
+    def test_recurrence_numerator_equals_term_by_term(self, mu0, family):
+        # the first division reads the numerator the recurrence built, unreduced
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(charsums, "_divide_linear", lambda cs, a, b: seen.append(cs) or _divide_linear(cs, a, b))
+            charsums.fit_closed_form(mu0, family)
+        assert seen[0] == term_by_term_numerator(mu0, family)
+
+    @given(
+        cs=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12),
+        a=st.integers(1, 50),
+        b=st.integers(-50, 50),
+    )
+    def test_divide_undoes_times_linear(self, cs, a, b):
+        assume(gcd(a, b) == 1)
+        assert _divide_linear(_times_linear(cs, a, b), a, b) == cs
 
 
 def one_plus_x_pow(e):

@@ -591,6 +591,28 @@ def test_sum_verify_and_char_load_only_what_they_run(argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["sum", "A", "--mu0", "3,1", "--n", "5"],
+        ["verify", "--mu0", "3,1", "--n", "4..5"],
+        ["char", "--lambda", "3,1", "--mu", "3"],
+    ],
+    ids=["sum", "verify", "char"],
+)
+def test_a_failing_sum_verify_or_char_loads_only_what_it_runs(argv):
+    # the exit-code table names no class of a module the run did not load
+    exit_code, loaded = _loaded_modules(RUN_CLI_AND_LIST_MODULES, *argv)
+    assert exit_code == 3
+    assert sorted(NOT_LOADED_BY_SUM_VERIFY_CHAR & set(loaded)) == []
+
+
+def test_a_failing_fit_loads_neither_discovery_nor_oeis():
+    exit_code, loaded = _loaded_modules(RUN_CLI_AND_LIST_MODULES, "fit", "--family", "A", "--mu0", "3,1")
+    assert exit_code == 3
+    assert sorted({"charsum.discovery", "charsum.oeis"} & set(loaded)) == []
+
+
+@pytest.mark.parametrize(
     "argv", [["search", "--K", "8"], ["fit", "--family", "A", "--mu0", "3"]], ids=["search", "fit"]
 )
 def test_search_and_fit_load_no_rational_arithmetic(argv):

@@ -108,9 +108,9 @@ def test_a_tampered_digest_fails(tmp_path):
 
 
 def test_an_output_read_from_stale_state_fails(tmp_path, monkeypatch):
-    # A(3)(3) steps from the kept pair at m = 1, here a wrong C(2, 1)
+    # A(3)(3) reads the kept pair at m = 0, here a wrong C(0, 0)
     entry = next(e for e in CORPUS if e["argv"] == ["sum", "A", "--mu0", "3", "--n", "3"])
-    monkeypatch.setattr(polyring, "_central", (1, 4))
+    monkeypatch.setattr(polyring, "_central", (0, 2))
     assert mismatches([entry], seed_cache(tmp_path)) == [entry["argv"]]
 
 

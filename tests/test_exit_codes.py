@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charsum
-from charsum import charsums, discovery
+from charsum import charsums, discovery, oeis
 from charsum.charsums import InternalConsistencyError
 from charsum.cli import exit_codes, main
 
@@ -32,7 +32,9 @@ def _src_env():
 
 
 def test_table_lists_every_subclass_before_its_base():
+    # discovery and oeis are imported above, so the table lists their classes too
     classes = [cls for cls, *_ in exit_codes()]
+    assert {discovery.SearchError, oeis.OeisError} <= set(classes)
     for i, cls in enumerate(classes):
         assert not any(issubclass(later, cls) for later in classes[i + 1 :]), cls
 

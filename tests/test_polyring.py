@@ -124,7 +124,7 @@ walk_moves = st.one_of(
 class TestCentralBinomial:
     @given(start=st.integers(0, 400), moves=st.lists(walk_moves, max_size=40))
     def test_matches_comb_along_walks(self, start, moves):
-        # +-1 walks step from the kept pair; jumps seed afresh
+        # a +1 step steps from the kept pair; any other move seeds afresh
         m = start
         assert central_binomial(m) == comb(2 * m, m)
         for kind, arg in moves:
