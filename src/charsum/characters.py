@@ -14,10 +14,13 @@
    polynomial).  The class 1^n has no factor and peels one of its 1s
    instead: V = 1, d_k = C(n-1, k).
 3. ``char_mn``: Murnaghan-Nakayama on the Maya diagram, the independent
-   oracle for the other two and for the sums.  ``sum_A_bruteforce`` takes
-   one ``char_mn`` per two-row shape of n; ``sum_B_bruteforce`` takes only
-   the |mu0| hooks of |mu0| on the class mu0 and adds the 1s by the
-   branching rule, a Pascal step per 1.  Row i of the shape puts a
+   oracle for the other two and for B's sums: ``sum_B_bruteforce`` takes
+   only the |mu0| hooks of |mu0| on the class mu0 and adds the 1s by the
+   branching rule, a Pascal step per 1.  The two-row shapes of n need no
+   memo: ``char_two_row_mn`` starts from the hook-length row of the 1s and
+   removes each part >= 2 from every two-row shape at once, one pass per
+   part, since on two rows a border strip is one of three index moves; it
+   is ``sum_A_bruteforce``'s oracle.  Row i of the shape puts a
    bead at lambda_i - i (i >= 1, lambda_i = 0 past the last row), so far
    enough down every place holds a bead.  The shape is kept as its defects,
    the places where it differs from the vacuum of beads at every place < 0:
@@ -34,9 +37,9 @@
    parts >= 2 and the memo key carries no 1s.  A state's shape has the
    cells of the parts not yet removed, so no state of one weight is read by
    another: the memo is unbounded and ``char_mn`` clears it when the
-   shape's weight differs from the one it holds.  A brute-force A keeps one
-   n's states; a brute-force B, seeded at |mu0|, keeps its states over the
-   whole window.
+   shape's weight differs from the one it holds.  A brute-force B, seeded
+   at |mu0|, keeps its states over the whole window; a brute-force A keeps
+   none.
 """
 
 from __future__ import annotations
@@ -233,11 +236,42 @@ def _dimension(defects: tuple[int, ...]) -> int:
     return top // bottom
 
 
+def char_two_row_mn(mu0: Partition, n: int) -> list[int]:
+    """[chi^(n-q, q)(mu0 u 1^(n-|mu0|)) for q = 0..n//2] by border-strip removal.
+
+    The 1s are closed first: at s = n - |mu0| the row is the hook-length
+    formula f^(s-q, q) = C(s, q)(s-2q+1)/(s-q+1).  Then each part k of mu0
+    maps the row of size s to the row of size s + k.  A k-strip leaves
+    (p, q), p >= q, in one of three ways:
+
+      row 1 only    (p-k, q)          if p-k >= q,               sign +1
+      row 2 only    (p, q-k)          if q >= k,                 sign +1
+      both rows     (q-1, p+1-k)      if p-q+2 <= k <= p+1,      sign -1
+
+    (a strip over both rows has exactly one column in both, so row 1 keeps
+    q - 1 cells).  Each pass is O(n) additions and no state outlives the
+    call; nothing is read from the formula's factors.
+    """
+    check_mu0_n(mu0, n)
+    s = n - mu0.weight()
+    row, binom = [], 1  # binom is C(s, q), stepped
+    for q in range(s // 2 + 1):
+        row.append(binom * (s - 2 * q + 1) // (s - q + 1))
+        binom = binom * (s - q) // (q + 1)
+    for k in mu0:
+        s += k
+        grown = []
+        for q in range(s // 2 + 1):
+            p = s - q
+            value = row[q] if p - k >= q else 0
+            if q >= k:
+                value += row[q - k]
+            if p - q + 2 <= k <= p + 1:
+                value -= row[p + 1 - k]
+            grown.append(value)
+        row = grown
+    return row
+
+
 # ``charsum char``'s routes; each raises RowCapExceeded for a shape it cannot take.
 ROUTES = {"mn": char_mn, "ct": char_ct, "tworow": _two_row_route}
-
-
-def padded_class(mu0: Partition, n: int) -> Partition:
-    """The cycle type mu0 padded with 1s up to weight n."""
-    check_mu0_n(mu0, n)
-    return Partition(mu0 + (1,) * (n - mu0.weight()))

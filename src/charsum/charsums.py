@@ -37,7 +37,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import comb, gcd
 
-from .characters import char_mn, hook_factor, padded_class, two_row_factor
+from .characters import char_mn, char_two_row_mn, hook_factor, two_row_factor
 from .partition import (
     Partition,
     check_mu0_n,
@@ -111,11 +111,18 @@ def sum_B(mu0: Partition, n: int) -> int:
 
 
 def sum_A_bruteforce(mu0: Partition, n: int) -> int:
-    """A by definition: squared border-strip characters over (n-j, j)."""
-    cls = padded_class(mu0, n)
-    one_row = (n,) if n else ()  # the empty shape at n = 0
-    shapes = ((n - j, j) if j else one_row for j in range(n // 2 + 1))
-    return sum(char_mn(Partition(shape), cls) ** 2 for shape in shapes)
+    """A by definition: squared border-strip characters over (n-q, q), q <= n/2.
+
+    ``char_two_row_mn`` gives every character of n in one row: from the
+    hook-length row of the class's 1s, each part k >= 2 is removed from all
+    two-row shapes at once.  On (p, q) a k-strip lies in row 1, giving
+    (p-k, q) with sign +1; in row 2, giving (p, q-k) with sign +1; or over
+    both rows, giving (q-1, p+1-k) with sign -1.  So each n costs one pass
+    of O(n) additions per part >= 2, with no memo, no recursion and nothing
+    kept between calls, and no value comes from T or the kernel: ``--mode
+    both`` checks the formula against the characters at every n.
+    """
+    return sum(c * c for c in char_two_row_mn(mu0, n))
 
 
 def sum_B_bruteforce(mu0: Partition, n: int) -> int:

@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from charsum.characters import char_ct, char_mn, char_two_row, padded_class
+from charsum.characters import char_ct, char_mn, char_two_row
 from charsum.charsums import sum_A, sum_A_bruteforce, sum_B, sum_B_bruteforce
 from charsum.cli import main
 from charsum.discovery import fit_closed_form, search_pairs
@@ -88,7 +88,7 @@ def test_criterion_4_character_cross_validation():
     for w in range(9):
         for mu0 in enumerate_partitions(w, 2):
             for n in range(w, 13):
-                cls = padded_class(mu0, n)
+                cls = Partition(mu0 + (1,) * (n - w))
                 for j in range(n // 2 + 1):
                     lam = make_partition([p for p in (n - j, j) if p > 0])
                     assert char_two_row(n, j, mu0) == char_mn(lam, cls), (mu0, n, j)

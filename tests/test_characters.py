@@ -18,9 +18,8 @@ from charsum.characters import (
     char_mn,
     char_two_row,
     hook_factor,
-    padded_class,
 )
-from charsum.charsums import sum_A, sum_A_bruteforce, sum_B
+from charsum.charsums import sum_A, sum_B
 from charsum.partition import Partition, enumerate_partitions, make_partition
 from charsum.polyring import IntPoly, binomial_coeff
 
@@ -113,7 +112,8 @@ class TestCharMn:
             for lam in enumerate_partitions(n):
                 assert char_mn(lam, ones) == syt(lam.parts), lam
 
-    # the benchmark's oracle classes and the states one A at n = 200 visits
+    # the benchmark's oracle classes and the states that one char_mn per
+    # two-row shape of n = 200 visits
     A_STATES_AT_200 = {(6, 2, 2): 392, (5, 3, 2): 392, (4, 4, 2): 393, (4, 3, 3): 393}
 
     @pytest.mark.parametrize("mu0", list(A_STATES_AT_200))
@@ -123,12 +123,23 @@ class TestCharMn:
         states = self.A_STATES_AT_200[mu0]
         mu0 = make_partition(list(mu0))
         _mn.cache_clear()
-        sum_A_bruteforce(mu0, 200)
+        two_rows_one_at_a_time(mu0, 200)
         alone = _mn.cache_info()
         for n in range(160, 201):
-            sum_A_bruteforce(mu0, n)
+            two_rows_one_at_a_time(mu0, n)
         assert _mn.cache_info() == alone
         assert alone.misses == alone.currsize == states
+
+
+def padded(mu0, n):
+    """The class mu0 padded with 1s up to weight n."""
+    return Partition(mu0 + (1,) * (n - mu0.weight()))
+
+
+def two_rows_one_at_a_time(mu0, n):
+    """chi^(n-q, q) on the padded class for q = 0..n//2, one ``char_mn`` each."""
+    cls = padded(mu0, n)
+    return [char_mn(make_partition([p for p in (n - q, q) if p]), cls) for q in range(n // 2 + 1)]
 
 
 def _partitions_of(n, max_len=None):
@@ -275,7 +286,7 @@ class TestHookFactor:
         # n = |mu0| up, the exponent is never negative
         h = mu0.weight() or 1
         n = h + excess
-        cls = padded_class(mu0, n)
+        cls = padded(mu0, n)
         q = IntPoly(comb(excess, k) for k in range(excess + 1)) * IntPoly(hook_factor(mu0.parts))
         assert list(q.coeffs) == [char_mn(make_partition([n - k] + [1] * k), cls) for k in range(n)]
         assert sum(d * d for d in q.coeffs) == sum_B(mu0, n)
@@ -321,20 +332,7 @@ class TestCrossValidation:
         for w in range(6):
             for mu0 in enumerate_partitions(w, 2):
                 for n in range(w, 10):
-                    cls = padded_class(mu0, n)
+                    cls = padded(mu0, n)
                     for j in range(n // 2 + 1):
                         lam = make_partition([p for p in (n - j, j) if p > 0])
                         assert char_two_row(n, j, mu0) == char_mn(lam, cls)
-
-
-class TestPaddedClass:
-    def test_pads_with_ones(self):
-        assert padded_class(make_partition([3, 2]), 8) == make_partition([3, 2, 1, 1, 1])
-
-    def test_rejects_short_n(self):
-        with pytest.raises(ValueError):
-            padded_class(make_partition([3, 2]), 4)
-
-    def test_rejects_part_one(self):
-        with pytest.raises(ValueError, match="smallest part"):
-            padded_class(make_partition([3, 1]), 6)

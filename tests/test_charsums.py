@@ -28,7 +28,14 @@ from charsum.partition import (
     theorem_form_of,
 )
 from charsum.polyring import IntPoly, binomial_coeff
-from charsum.characters import _mn, char_mn, char_two_row, hook_factor, padded_class, two_row_factor
+from charsum.characters import (
+    _mn,
+    char_mn,
+    char_two_row,
+    char_two_row_mn,
+    hook_factor,
+    two_row_factor,
+)
 
 
 class TestSumA:
@@ -96,9 +103,14 @@ class TestSumB:
             sum_B(make_partition([3, 2]), 4)
 
 
+def padded(mu0, n):
+    """The class mu0 padded with 1s up to weight n."""
+    return Partition(mu0 + (1,) * (n - mu0.weight()))
+
+
 def hooks_one_at_a_time(mu0, n):
     """B by its definition: one border-strip character per hook (n-k, 1^k)."""
-    cls = padded_class(mu0, n)
+    cls = padded(mu0, n)
     return sum(char_mn(Partition((n - k,) + (1,) * k), cls) ** 2 for k in range(n))
 
 
@@ -150,6 +162,51 @@ def partitions_min_two(max_weight):
     return st.lists(st.integers(2, max_weight), max_size=max_weight // 2).filter(
         lambda parts: sum(parts) <= max_weight
     ).map(make_partition)
+
+
+def two_rows_one_at_a_time(mu0, n):
+    """chi^(n-q, q) on the padded class for q = 0..n//2, one ``char_mn`` each."""
+    cls = padded(mu0, n)
+    return [char_mn(make_partition([p for p in (n - q, q) if p]), cls) for q in range(n // 2 + 1)]
+
+
+class TestTwoRowStripOracle:
+    """``char_two_row_mn`` removes each part >= 2 from every two-row shape at
+    once; the reference takes each two-row shape of n from ``char_mn``."""
+
+    def test_equals_one_char_mn_per_shape(self):
+        for w in range(9):
+            for mu0 in enumerate_partitions(w, 2):
+                for n in range(w, w + 13):
+                    assert char_two_row_mn(mu0, n) == two_rows_one_at_a_time(mu0, n), (mu0, n)
+
+    def test_at_the_benchmark_size(self):
+        mu0 = make_partition([4, 3, 3])
+        row = char_two_row_mn(mu0, 200)
+        assert row == two_rows_one_at_a_time(mu0, 200)
+        assert sum_A_bruteforce(mu0, 200) == sum(c * c for c in row) == sum_A(mu0, 200)
+
+    def test_empty_class(self):
+        # the empty shape at n = 0 and the one-row shape (1) at n = 1
+        assert char_two_row_mn(Partition(), 0) == [1]
+        assert char_two_row_mn(Partition(), 1) == [1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(mu0=partitions_min_two(10), extra=st.integers(0, 30))
+    def test_equals_one_char_mn_per_shape_drawn(self, mu0, extra):
+        n = mu0.weight() + extra
+        assert char_two_row_mn(mu0, n) == two_rows_one_at_a_time(mu0, n)
+
+    def test_rejects_n_below_weight_and_parts_one(self):
+        with pytest.raises(ValueError, match="below"):
+            sum_A_bruteforce(make_partition([3, 2]), 4)
+        with pytest.raises(ValueError, match="smallest part"):
+            sum_A_bruteforce(make_partition([3, 1]), 6)
+
+    def test_keeps_no_oracle_state(self):
+        _mn.cache_clear()
+        assert sum_A_bruteforce(make_partition([5, 3, 2]), 60) == sum_A(make_partition([5, 3, 2]), 60)
+        assert _mn.cache_info().currsize == 0
 
 
 class TestLemmaVsDefinition:

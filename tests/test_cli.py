@@ -643,8 +643,9 @@ def _cli_process(*argv, script=None):
 
 
 class TestDeepClasses:
-    """The oracle recurses once per part >= 2, so long tails of 1s cost no depth;
-    a class with too many parts >= 2 is a domain error."""
+    """``char_mn`` recurses once per part >= 2, so long tails of 1s cost no depth;
+    a class with too many parts >= 2 for it is a domain error.  A's brute-force
+    route does not recurse."""
 
     @pytest.mark.parametrize("family", ["A", "B"])
     def test_brute_force_sum_at_n_500(self, family):
@@ -660,6 +661,19 @@ class TestDeepClasses:
         # 1000 recursion levels pass Python's default limit
         proc = _cli_process("char", "--lambda", "2000", "--mu", ",".join(["2"] * 1000))
         assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3,
+            b"",
+            b"error: the class has too many parts >= 2 for the border-strip oracle\n",
+        )
+
+    def test_brute_force_sums_on_1000_twos_at_n_2000(self):
+        # A's border-strip passes take the class whole; B's char_mn seeds recurse
+        twos = ",".join(["2"] * 1000)
+        a = _cli_process("sum", "A", "--mu0", twos, "--n", "2000", "--mode", "brute")
+        assert (a.returncode, a.stderr) == (0, b"")
+        assert a.stdout.rstrip(b"\n").isdigit()
+        b = _cli_process("sum", "B", "--mu0", twos, "--n", "2000", "--mode", "brute")
+        assert (b.returncode, b.stdout, b.stderr) == (
             3,
             b"",
             b"error: the class has too many parts >= 2 for the border-strip oracle\n",
@@ -691,10 +705,14 @@ def test_trace_shim_binds_every_name_it_wraps(tmp_path):
             # the fit's self-check calls the sums by their module-level names
             assert totals["fit_sum_calls"] > 0
         if argv[-1] == "both":
-            # the brute-force sums reach the oracle by the names the shim wraps
+            # the brute-force sums are wrapped by the names the CLI calls; only
+            # B's seeds enter char_mn, A's row is built by border strips
             lo, hi = map(int, argv[argv.index("--n") + 1].split(".."))
             assert totals[f"charsums.sum_{argv[1]}_bruteforce.calls"] == hi - lo + 1
-            assert totals["characters.char_mn.calls"] > 0
+            if argv[1] == "A":
+                assert totals["characters.char_mn.calls"] == 0
+            else:
+                assert totals["characters.char_mn.calls"] > 0
 
 
 def test_every_flag_in_readme_cli_section_is_accepted():
