@@ -14,13 +14,12 @@
    polynomial).  The class 1^n has no factor and peels one of its 1s
    instead: V = 1, d_k = C(n-1, k).
 3. ``char_mn``: Murnaghan-Nakayama on the Maya diagram, the independent
-   oracle for the other two and for B's sums: ``sum_B_bruteforce`` takes
-   only the |mu0| hooks of |mu0| on the class mu0 and adds the 1s by the
-   branching rule, a Pascal step per 1.  The two-row shapes of n need no
-   memo: ``char_two_row_mn`` starts from the hook-length row of the 1s and
-   removes each part >= 2 from every two-row shape at once, one pass per
-   part, since on two rows a border strip is one of three index moves; it
-   is ``sum_A_bruteforce``'s oracle.  Row i of the shape puts a
+   oracle for the other two.  The shapes of the two families need no memo:
+   ``char_two_row_mn`` and ``char_hook_mn`` start from the hook-length row
+   of the 1s and remove each part >= 2 from every two-row shape, or every
+   hook, at once, one pass per part, since there a border strip is one of
+   three index moves; they are the oracles of ``sum_A_bruteforce`` and
+   ``sum_B_bruteforce``.  Row i of the shape puts a
    bead at lambda_i - i (i >= 1, lambda_i = 0 past the last row), so far
    enough down every place holds a bead.  The shape is kept as its defects,
    the places where it differs from the vacuum of beads at every place < 0:
@@ -34,12 +33,8 @@
    its 2d defects and nothing else.  Only the class's parts >= 2 are removed
    one by one; the 1s are closed at once by the hook-length formula in
    Frobenius coordinates, so the recursion is as deep as the number of
-   parts >= 2 and the memo key carries no 1s.  A state's shape has the
-   cells of the parts not yet removed, so no state of one weight is read by
-   another: the memo is unbounded and ``char_mn`` clears it when the
-   shape's weight differs from the one it holds.  A brute-force B, seeded
-   at |mu0|, keeps its states over the whole window; a brute-force A keeps
-   none.
+   parts >= 2 and the memo key carries no 1s.  The memo is unbounded and
+   serves one call: ``char_mn`` clears it first.
 """
 
 from __future__ import annotations
@@ -142,20 +137,10 @@ def _two_row_route(lmbda: Partition, mu: Partition) -> int:
     return char_two_row(lmbda.weight(), j, Partition([p for p in mu if p > 1]))
 
 
-# The shape weight whose states ``_mn`` holds.  The value is read and
-# replaced as a whole, so a concurrent caller may clear another caller's
-# states, costing reuse, but never reads a wrong value.
-_mn_weight = 0
-
-
 def char_mn(lmbda: Partition, mu: Partition) -> int:
     """Character value by border-strip removal on the Maya diagram (the oracle path)."""
-    global _mn_weight
+    _mn.cache_clear()  # the memo serves one call: no state outlives it
     _check_weights(lmbda, mu)
-    n = lmbda.weight()
-    if n != _mn_weight:
-        _mn.cache_clear()
-        _mn_weight = n
     # the class is non-increasing, so its 1s are a suffix
     return _mn(_defects(lmbda), mu[: len(mu) - mu.count(1)])
 
@@ -270,6 +255,36 @@ def char_two_row_mn(mu0: Partition, n: int) -> list[int]:
                 value -= row[p + 1 - k]
             grown.append(value)
         row = grown
+    return row
+
+
+def char_hook_mn(mu0: Partition, n: int) -> list[int]:
+    """[chi^(n-b, 1^b)(mu0 u 1^(n-|mu0|)) for b = 0..n-1] by border-strip removal.
+
+    As in ``char_two_row_mn``, the 1s are closed first, here by the
+    hook-length row f^(s-b, 1^b) = C(s-1, b) at s = n - |mu0|, and each part
+    k of mu0 maps the row of size s to the row of size s + k.  A k-strip
+    leaves (s+k-b, 1^b) at the end of the arm, at the end of the leg or,
+    since a strip through the corner cell takes every cell, as a whole hook:
+
+      arm           (s-b, 1^b)          if b < s,      sign +1
+      leg           (s+k-b, 1^(b-k))    if b >= k,     sign (-1)^(k-1)
+      whole hook    the empty shape     if s = 0,      sign (-1)^b
+    """
+    check_mu0_n(mu0, n)
+    s = n - mu0.weight()
+    row, binom = [], 1  # binom is C(s-1, b), stepped
+    for b in range(s):
+        row.append(binom)
+        binom = binom * (s - 1 - b) // (b + 1)
+    for k in mu0:
+        if s:
+            pad = [0] * k
+            leg = row if k % 2 else [-c for c in row]
+            row = [a + b for a, b in zip(row + pad, pad + leg)]
+        else:
+            row = [(-1) ** b for b in range(k)]
+        s += k
     return row
 
 

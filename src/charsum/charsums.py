@@ -37,7 +37,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import comb, gcd
 
-from .characters import char_mn, char_two_row_mn, hook_factor, two_row_factor
+from .characters import char_hook_mn, char_two_row_mn, hook_factor, two_row_factor
 from .partition import (
     Partition,
     check_mu0_n,
@@ -126,30 +126,14 @@ def sum_A_bruteforce(mu0: Partition, n: int) -> int:
 
 
 def sum_B_bruteforce(mu0: Partition, n: int) -> int:
-    """B: squared characters over the hooks (n-k, 1^k), 0 <= k < n, stepped from |mu0|.
+    """B by definition: squared border-strip characters over the hooks (n-b, 1^b), b < n.
 
-    With w = |mu0|, the border-strip oracle gives the w hooks of w on the
-    class mu0 itself (the class 1^n starts from the hook (1) at size 1).  Then
-    each 1 of the padded class adds one box to every hook, by the branching
-    rule chi^(a,1^b)(rho u 1) = chi^(a-1,1^b)(rho) + chi^(a,1^(b-1))(rho):
-    the row of leg k at size m + 1 is row[k] + row[k - 1] of size m, a Pascal
-    step.  So each n costs w ``char_mn`` calls at size w and n - w steps of
-    at most n additions.  The seed row comes from the oracle, not from V, so
-    ``sum --mode both`` checks the hook factor and the kernel's reading of it
-    at every n; the steps are the lemma's own padding by (1 + x), so past w
-    this is not a check of the characters at size n.
+    ``char_hook_mn`` gives every hook character of n in one row, as
+    ``char_two_row_mn`` does for A: one pass of O(n) additions per part >= 2
+    and no value from V or the kernel, so ``--mode both`` checks the formula
+    against the characters at every n.
     """
-    check_mu0_n(mu0, n)
-    w = mu0.weight()
-    if w:
-        row = [char_mn(Partition((w - k,) + (1,) * k), mu0) for k in range(w)]
-    elif n:
-        row, w = [1], 1  # chi^(1) on the class 1
-    else:
-        return 0  # no hook has 0 cells
-    for _ in range(n - w):
-        row = [a + b for a, b in zip(row + [0], [0] + row)]
-    return sum(c * c for c in row)
+    return sum(c * c for c in char_hook_mn(mu0, n))
 
 
 class VerificationReport(namedtuple("VerificationReport", "mu0 mu0_prime rows")):

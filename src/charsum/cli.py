@@ -12,7 +12,7 @@ Exit codes:
   2    usage errors: unknown flags, malformed partitions/ranges/value lists
   3    domain preconditions: weight mismatch, n below |mu0|, a part equal to 1,
        not theorem form, j out of range, row cap exceeded, too few OEIS terms,
-       a class with too many parts >= 2 for the border-strip oracle
+       a class with too many parts >= 2 for ``char``'s border-strip route
   4    internal cross-check mismatch (sum --mode both, char --check-all,
        or a value breaking an identity the maths guarantees, in any command)
   5    search parameters out of range (K < 2, window < 4)
@@ -83,7 +83,7 @@ def exit_codes() -> tuple[tuple[type[Exception], int, str | None], ...]:
         (discovery and discovery.SearchError, EXIT_SEARCH, None),
         (oeis and oeis.OeisError, EXIT_NETWORK, None),
         (ValueError, EXIT_PRECONDITION, None),
-        # the border-strip oracle recurses once per part >= 2 of the class
+        # char_mn recurses once per part >= 2 of the class; only ``char`` calls it
         (RecursionError, EXIT_PRECONDITION, "the class has too many parts >= 2 for the border-strip oracle"),
     )
     return tuple(row for row in rows if row[0])

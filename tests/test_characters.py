@@ -112,34 +112,10 @@ class TestCharMn:
             for lam in enumerate_partitions(n):
                 assert char_mn(lam, ones) == syt(lam.parts), lam
 
-    # the benchmark's oracle classes and the states that one char_mn per
-    # two-row shape of n = 200 visits
-    A_STATES_AT_200 = {(6, 2, 2): 392, (5, 3, 2): 392, (4, 4, 2): 393, (4, 3, 3): 393}
-
-    @pytest.mark.parametrize("mu0", list(A_STATES_AT_200))
-    def test_memo_holds_one_n_of_a_brute_force_a(self, mu0):
-        # on the benchmark's A window each n clears the states of the n
-        # before, so the window ends as n = 200 alone does
-        states = self.A_STATES_AT_200[mu0]
-        mu0 = make_partition(list(mu0))
-        _mn.cache_clear()
-        two_rows_one_at_a_time(mu0, 200)
-        alone = _mn.cache_info()
-        for n in range(160, 201):
-            two_rows_one_at_a_time(mu0, n)
-        assert _mn.cache_info() == alone
-        assert alone.misses == alone.currsize == states
-
 
 def padded(mu0, n):
     """The class mu0 padded with 1s up to weight n."""
     return Partition(mu0 + (1,) * (n - mu0.weight()))
-
-
-def two_rows_one_at_a_time(mu0, n):
-    """chi^(n-q, q) on the padded class for q = 0..n//2, one ``char_mn`` each."""
-    cls = padded(mu0, n)
-    return [char_mn(make_partition([p for p in (n - q, q) if p]), cls) for q in range(n // 2 + 1)]
 
 
 def _partitions_of(n, max_len=None):
@@ -164,25 +140,18 @@ def test_mn_agrees_with_ct_on_three_rows(pair):
         max_size=8,
     )
 )
-def test_memo_cleared_by_weight_keeps_every_value(pairs):
-    # pairs of mixed weights in order: each new weight clears the memo
-    _mn.cache_clear()
+def test_memo_keeps_every_value_and_only_the_last_calls_states(pairs):
+    # char_mn clears the memo first, so no call reads the states of another
     in_order = [char_mn(lam, mu) for lam, mu in pairs]
-    held = _mn.cache_info().currsize
+    held = _mn.cache_info()
     fresh = []
     for lam, mu in pairs:
         _mn.cache_clear()
         fresh.append(char_mn(lam, mu))
     assert in_order == fresh
-    # the memo holds only the states of the last run of one weight
-    last = pairs[-1][0].weight()
-    run = len(pairs)
-    while run and pairs[run - 1][0].weight() == last:
-        run -= 1
     _mn.cache_clear()
-    for lam, mu in pairs[run:]:
-        char_mn(lam, mu)
-    assert _mn.cache_info().currsize == held
+    char_mn(*pairs[-1])
+    assert _mn.cache_info() == held
 
 
 def _conjugate(lam):

@@ -30,6 +30,7 @@ from charsum.partition import (
 from charsum.polyring import IntPoly, binomial_coeff
 from charsum.characters import (
     _mn,
+    char_hook_mn,
     char_mn,
     char_two_row,
     char_two_row_mn,
@@ -87,12 +88,12 @@ class TestSumB:
         assert sum_B(p, n) == expected
 
     def test_negative_exponent_edge(self):
-        # n = |mu0| makes the binomial exponent 0 and the stepped oracle take
-        # no step: its value is exactly the squared char_mn seed row
+        # n = |mu0| makes the binomial exponent 0 and leaves the hook oracle no
+        # 1s to close: every hook's character comes from the class's parts alone
         for mu0 in [[2], [3], [2, 2], [3, 2], [4, 3], [5, 4, 3, 2]]:
             p = make_partition(mu0)
             n = p.weight()
-            assert sum_B(p, n) == sum_B_bruteforce(p, n) == hooks_one_at_a_time(p, n)
+            assert sum_B(p, n) == sum_B_bruteforce(p, n) == sum(c * c for c in hooks_one_at_a_time(p, n))
 
     def test_part_one_rejected(self):
         with pytest.raises(ValueError, match="smallest part"):
@@ -109,52 +110,9 @@ def padded(mu0, n):
 
 
 def hooks_one_at_a_time(mu0, n):
-    """B by its definition: one border-strip character per hook (n-k, 1^k)."""
+    """chi^(n-b, 1^b) on the padded class for b = 0..n-1, one ``char_mn`` each."""
     cls = padded(mu0, n)
-    return sum(char_mn(Partition((n - k,) + (1,) * k), cls) ** 2 for k in range(n))
-
-
-class TestSteppedHookOracle:
-    """``sum_B_bruteforce`` steps the hooks of |mu0| by the branching rule; the
-    reference takes every hook of n from the border-strip oracle."""
-
-    def test_equals_one_char_mn_per_hook(self):
-        for w in range(9):
-            for mu0 in enumerate_partitions(w, 2):
-                for n in range(w, w + 13):
-                    assert sum_B_bruteforce(mu0, n) == hooks_one_at_a_time(mu0, n), (mu0, n)
-
-    def test_empty_class(self):
-        empty = Partition()
-        assert sum_B_bruteforce(empty, 0) == 0
-        for n in range(1, 40):
-            assert sum_B_bruteforce(empty, n) == comb(2 * n - 2, n - 1), n
-
-    def test_at_the_benchmark_size(self):
-        mu0 = make_partition([4, 3, 3])
-        assert sum_B_bruteforce(mu0, 100) == hooks_one_at_a_time(mu0, 100)
-
-    def test_seeds_one_char_mn_per_hook_of_the_weight(self, monkeypatch):
-        calls = []
-
-        def counted(shape, cls):
-            calls.append((shape, cls))
-            return char_mn(shape, cls)
-
-        monkeypatch.setattr(charsums, "char_mn", counted)
-        mu0 = make_partition([5, 3, 2])
-        assert sum_B_bruteforce(mu0, 60) == sum_B(mu0, 60)
-        assert len(calls) == 10 and {cls for _, cls in calls} == {mu0}
-
-    def test_a_window_misses_the_memo_only_at_its_first_n(self):
-        # every n seeds at |mu0|, so the memo keeps the seed's states
-        mu0 = make_partition([5, 3, 2])
-        _mn.cache_clear()
-        sum_B_bruteforce(mu0, 77)
-        misses = _mn.cache_info().misses
-        for n in range(78, 101):
-            sum_B_bruteforce(mu0, n)
-        assert _mn.cache_info().misses == misses
+    return [char_mn(Partition((n - b,) + (1,) * b), cls) for b in range(n)]
 
 
 def partitions_min_two(max_weight):
@@ -206,6 +164,47 @@ class TestTwoRowStripOracle:
     def test_keeps_no_oracle_state(self):
         _mn.cache_clear()
         assert sum_A_bruteforce(make_partition([5, 3, 2]), 60) == sum_A(make_partition([5, 3, 2]), 60)
+        assert _mn.cache_info().currsize == 0
+
+
+class TestSteppedHookOracle:
+    """``char_hook_mn`` removes each part >= 2 from every hook at once, one
+    pass per part; the reference takes each hook of n from ``char_mn``."""
+
+    def test_equals_one_char_mn_per_hook(self):
+        for w in range(9):
+            for mu0 in enumerate_partitions(w, 2):
+                for n in range(w, w + 13):
+                    assert char_hook_mn(mu0, n) == hooks_one_at_a_time(mu0, n), (mu0, n)
+
+    def test_at_the_benchmark_size(self):
+        mu0 = make_partition([4, 3, 3])
+        row = char_hook_mn(mu0, 100)
+        assert row == hooks_one_at_a_time(mu0, 100)
+        assert sum_B_bruteforce(mu0, 100) == sum(c * c for c in row) == sum_B(mu0, 100)
+
+    def test_empty_class(self):
+        # no hook has 0 cells; the class 1^n gives the hook-length row
+        empty = Partition()
+        for n in range(40):
+            assert char_hook_mn(empty, n) == hooks_one_at_a_time(empty, n), n
+            assert sum_B_bruteforce(empty, n) == (comb(2 * n - 2, n - 1) if n else 0), n
+
+    @settings(max_examples=60, deadline=None)
+    @given(mu0=partitions_min_two(10), extra=st.integers(0, 30))
+    def test_equals_one_char_mn_per_hook_drawn(self, mu0, extra):
+        n = mu0.weight() + extra
+        assert char_hook_mn(mu0, n) == hooks_one_at_a_time(mu0, n)
+
+    def test_rejects_n_below_weight_and_parts_one(self):
+        with pytest.raises(ValueError, match="below"):
+            sum_B_bruteforce(make_partition([3, 2]), 4)
+        with pytest.raises(ValueError, match="smallest part"):
+            sum_B_bruteforce(make_partition([3, 1]), 6)
+
+    def test_keeps_no_oracle_state(self):
+        _mn.cache_clear()
+        assert sum_B_bruteforce(make_partition([5, 3, 2]), 60) == sum_B(make_partition([5, 3, 2]), 60)
         assert _mn.cache_info().currsize == 0
 
 

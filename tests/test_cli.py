@@ -644,8 +644,8 @@ def _cli_process(*argv, script=None):
 
 class TestDeepClasses:
     """``char_mn`` recurses once per part >= 2, so long tails of 1s cost no depth;
-    a class with too many parts >= 2 for it is a domain error.  A's brute-force
-    route does not recurse."""
+    a class with too many parts >= 2 for it is a domain error.  Neither
+    brute-force route recurses."""
 
     @pytest.mark.parametrize("family", ["A", "B"])
     def test_brute_force_sum_at_n_500(self, family):
@@ -667,17 +667,12 @@ class TestDeepClasses:
         )
 
     def test_brute_force_sums_on_1000_twos_at_n_2000(self):
-        # A's border-strip passes take the class whole; B's char_mn seeds recurse
+        # both routes take the class whole, one border-strip pass per part
         twos = ",".join(["2"] * 1000)
-        a = _cli_process("sum", "A", "--mu0", twos, "--n", "2000", "--mode", "brute")
-        assert (a.returncode, a.stderr) == (0, b"")
-        assert a.stdout.rstrip(b"\n").isdigit()
-        b = _cli_process("sum", "B", "--mu0", twos, "--n", "2000", "--mode", "brute")
-        assert (b.returncode, b.stdout, b.stderr) == (
-            3,
-            b"",
-            b"error: the class has too many parts >= 2 for the border-strip oracle\n",
-        )
+        for family in "AB":
+            proc = _cli_process("sum", family, "--mu0", twos, "--n", "2000", "--mode", "brute")
+            assert (proc.returncode, proc.stderr) == (0, b""), family
+            assert proc.stdout.rstrip(b"\n").isdigit(), family
 
 
 def test_trace_shim_binds_every_name_it_wraps(tmp_path):
@@ -693,6 +688,7 @@ def test_trace_shim_binds_every_name_it_wraps(tmp_path):
             ["sum", "A", "--mu0", "5,3,2", "--n", "10..13", "--mode", "both"],
             ["fit", "--family", "A", "--mu0", "5,3"],
             ["search", "--K", "6", "--window", "6"],
+            ["char", "--lambda", "3,1", "--mu", "2,2", "--check-all"],
         ]
     ):
         span_file = tmp_path / f"{i}.spans"
@@ -705,14 +701,14 @@ def test_trace_shim_binds_every_name_it_wraps(tmp_path):
             # the fit's self-check calls the sums by their module-level names
             assert totals["fit_sum_calls"] > 0
         if argv[-1] == "both":
-            # the brute-force sums are wrapped by the names the CLI calls; only
-            # B's seeds enter char_mn, A's row is built by border strips
+            # the brute-force sums are wrapped by the names the CLI calls; both
+            # build their rows by border-strip passes, without char_mn
             lo, hi = map(int, argv[argv.index("--n") + 1].split(".."))
             assert totals[f"charsums.sum_{argv[1]}_bruteforce.calls"] == hi - lo + 1
-            if argv[1] == "A":
-                assert totals["characters.char_mn.calls"] == 0
-            else:
-                assert totals["characters.char_mn.calls"] > 0
+            assert totals["characters.char_mn.calls"] == 0
+        if argv[0] == "char":
+            # char_mn's memo is the one the shim's cache_info reads
+            assert totals["mn_cache_size"] > 0
 
 
 def test_every_flag_in_readme_cli_section_is_accepted():

@@ -3,12 +3,11 @@ exit code, its stderr text and the SHA-256 and byte length of its stdout.
 
 Each argv runs in-process through ``cli.main``; then the whole corpus runs
 again in reverse order in the same process, so no output may depend on the
-state that ``polyring._central``, ``characters._mn`` and
-``charsums._small_poly`` keep between calls.  An entry whose ``stderr`` is
-null is an argparse error: argparse words those differently from one Python
-version to the next, so only the exit code and the (empty) stdout are
-pinned.  ``{cache}`` in an argv is an OEIS cache directory seeded with
-``OEIS_FIXTURES``.
+state that ``polyring._central`` and ``charsums._small_poly`` keep between
+calls.  An entry whose ``stderr`` is null is an argparse error: argparse
+words those differently from one Python version to the next, so only the
+exit code and the (empty) stdout are pinned.  ``{cache}`` in an argv is an
+OEIS cache directory seeded with ``OEIS_FIXTURES``.
 
 A change that alters outputs on purpose rewrites only the entries of the
 argvs it names, each one shell-quoted string (an argv not in the corpus is
