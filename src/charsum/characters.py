@@ -14,33 +14,32 @@
    polynomial).  The class 1^n has no factor and peels one of its 1s
    instead: V = 1, d_k = C(n-1, k).
 3. ``char_mn``: Murnaghan-Nakayama on the Maya diagram, the independent
-   oracle for the other two.  The shapes of the two families need no memo:
-   ``char_two_row_mn`` and ``char_hook_mn`` start from the hook-length row
-   of the 1s and remove each part >= 2 from every two-row shape, or every
-   hook, at once, one pass per part, since there a border strip is one of
-   three index moves; they are the oracles of ``sum_A_bruteforce`` and
-   ``sum_B_bruteforce``.  Row i of the shape puts a
-   bead at lambda_i - i (i >= 1, lambda_i = 0 past the last row), so far
-   enough down every place holds a bead.  The shape is kept as its defects,
-   the places where it differs from the vacuum of beads at every place < 0:
-   the beads at a_i = lambda_i - i >= 0 and the empty places -b_i - 1 < 0,
+   oracle for the other two.  ``char_two_row_mn`` and ``char_hook_mn``
+   start from the hook-length row of the 1s and remove each part >= 2 from
+   every two-row shape, or every hook, at once, one pass per part, since
+   there a border strip is one of three index moves; they are the oracles of
+   ``sum_A_bruteforce`` and ``sum_B_bruteforce``.  ``char_mn`` starts from
+   lambda instead and removes each part >= 2 of the class from every shape
+   of the current level at once, adding up equal shapes: no memo and no
+   recursion.  Row i of the shape puts a bead at lambda_i - i (i >= 1,
+   lambda_i = 0 past the last row), so far enough down every place holds a
+   bead.  The shape is kept as its defects, the places where it differs
+   from the vacuum of beads at every place < 0: the beads at
+   a_i = lambda_i - i >= 0 and the empty places -b_i - 1 < 0,
    b_i = lambda'_i - i, for i up to the side d of the Durfee square (the
    Frobenius coordinates (a | b)).  There are 2d of them whatever n is: 2 for
    a hook, at most 4 for a two-row shape.  Removing a k-border-strip moves a
    bead x to an empty x-k, with sign (-1)^(beads strictly between), and
    toggles both places in the defects.  A bead that can move is a defect
-   >= 0 or the vacuum's bead k above a defect < 0, so a memo node looks at
-   its 2d defects and nothing else.  Only the class's parts >= 2 are removed
-   one by one; the 1s are closed at once by the hook-length formula in
-   Frobenius coordinates, so the recursion is as deep as the number of
-   parts >= 2 and the memo key carries no 1s.  The memo is unbounded and
-   serves one call: ``char_mn`` clears it first.
+   >= 0 or the vacuum's bead k above a defect < 0, so a move looks at the
+   2d defects and nothing else.  Only the class's parts >= 2 are removed
+   one by one; the 1s are closed at once, on each shape of the last level,
+   by the hook-length formula in Frobenius coordinates.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, perm
 
@@ -139,10 +138,16 @@ def _two_row_route(lmbda: Partition, mu: Partition) -> int:
 
 def char_mn(lmbda: Partition, mu: Partition) -> int:
     """Character value by border-strip removal on the Maya diagram (the oracle path)."""
-    _mn.cache_clear()  # the memo serves one call: no state outlives it
     _check_weights(lmbda, mu)
+    level = {_defects(lmbda): 1}  # each shape's defects -> its coefficient
     # the class is non-increasing, so its 1s are a suffix
-    return _mn(_defects(lmbda), mu[: len(mu) - mu.count(1)])
+    for k in mu[: len(mu) - mu.count(1)]:
+        grown = {}
+        for defects, c in level.items():
+            for moved, sign in _mn(defects, k):
+                grown[moved] = grown.get(moved, 0) + sign * c
+        level = {defects: c for defects, c in grown.items() if c}
+    return sum(c * _dimension(defects) for defects, c in level.items())
 
 
 def _defects(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -157,19 +162,14 @@ def _defects(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(defects))
 
 
-@lru_cache(maxsize=None)
-def _mn(defects: tuple[int, ...], parts: tuple[int, ...]) -> int:
-    """chi^lambda on the class ``parts`` padded with 1s.
+def _mn(defects: tuple[int, ...], k: int):
+    """Yield (moved, sign) for each k-border-strip of lambda, ``moved`` its defects.
 
-    ``defects`` is lambda's ``_defects``; ``parts`` is non-increasing and
-    holds no 1s.  The sign counts the beads strictly between mod 2: there
-    the defects >= 0 are beads and the places < 0 are beads but for the
-    defects, so the parity is that of the defects there plus the places < 0.
+    ``defects`` is lambda's ``_defects``.  The sign counts the beads strictly
+    between mod 2: there the defects >= 0 are beads and the places < 0 are
+    beads but for the defects, so the parity is that of the defects there
+    plus the places < 0.
     """
-    if not parts:
-        return _dimension(defects)
-    k, rest = parts[0], parts[1:]
-    total = 0
     for t, d in enumerate(defects):
         if d >= 0:
             # the bead at d falls to d - k, an empty place >= 0 or a defect < 0
@@ -191,9 +191,7 @@ def _mn(defects: tuple[int, ...], parts: tuple[int, ...]) -> int:
             i = bisect_left(defects, x, j)
             moved = defects[:j] + defects[j + 1 : i] + (x,) + defects[i:]
             passed = i - j - 1 + k - 1
-        value = _mn(moved, rest)
-        total += -value if passed % 2 else value
-    return total
+        yield moved, -1 if passed % 2 else 1
 
 
 def _dimension(defects: tuple[int, ...]) -> int:
@@ -288,5 +286,7 @@ def char_hook_mn(mu0: Partition, n: int) -> list[int]:
     return row
 
 
-# ``charsum char``'s routes; each raises RowCapExceeded for a shape it cannot take.
-ROUTES = {"mn": char_mn, "ct": char_ct, "tworow": _two_row_route}
+# ``charsum char``'s routes, each by the name of its function here, looked up as
+# the command runs so a wrapper bound to that name sees the calls; each raises
+# RowCapExceeded for a shape it cannot take.
+ROUTES = {"mn": "char_mn", "ct": "char_ct", "tworow": "_two_row_route"}

@@ -12,9 +12,9 @@ says which coefficient is which character).  A's norm
 counts each character twice, because the two-row polynomial P has
 c_j = -c_{n+1-j}; hence its divisor 2.  Since (1+x)^e is its own reversal,
 each norm is one coefficient of (1+x)^(2e) * f(x) f~(x) with f = T or V.
-That small polynomial f f~ is palindromic of degree 2 deg f, built once per
-(family, mu0) and cached, one class per family; ``FAMILIES`` holds each
-family's factor and divisor.  ``fit_closed_form`` derives R(n) =
+That small polynomial f f~ = +-f^2 is palindromic of degree 2 deg f, built
+once per (family, mu0) from binomial rows and cached, one class per family;
+``FAMILIES`` holds each family's divisor.  ``fit_closed_form`` derives R(n) =
 family(n) / C(2n, n) by one O(top^2) recurrence on coefficient lists.
 
 With m = n - h (see ``_family``) and top = deg f, both small and the row of
@@ -33,11 +33,11 @@ V(mu0') = T(mu0): both sides read one coefficient of one row, at one m.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import comb, gcd
 
-from .characters import char_hook_mn, char_two_row_mn, hook_factor, two_row_factor
+from .characters import char_hook_mn, char_two_row_mn
 from .partition import (
     Partition,
     check_mu0_n,
@@ -52,28 +52,45 @@ class InternalConsistencyError(RuntimeError):
     """A value violated an identity the math guarantees (implementation bug)."""
 
 
-# family -> (factor, divisor): with m = n - h, f = factor(mu0) and small(x) = f(x) f~(x),
+# family -> divisor: with m = n - h, f the family's factor and small(x) = f(x) f~(x),
 # the family's sum at n is [x^(m + deg f)] (1+x)^(2m) small(x) / divisor.
-FAMILIES = {"A": (two_row_factor, 2), "B": (hook_factor, 1)}
+FAMILIES = {"A": 2, "B": 1}
 
 
 # Every path sweeps n for at most one class per family: a ``verify`` row or a
 # search pair reads A(mu0) and B(mu0'), ``fit`` and ``sum`` one of them.
 @lru_cache(maxsize=len(FAMILIES))
 def _small_poly(family: str, parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficients of f(x) f~(x), f the character factor of family A or B for mu0."""
-    f = FAMILIES[family][0](parts)
-    return (IntPoly(f) * IntPoly(reversed(f))).coeffs
+    """Coefficients of f(x) f~(x), f the character factor of family A or B for mu0.
+
+    Each factor 1 -+ x^a of f reverses to -+(1 -+ x^a), so f~ = -T for A and
+    f~ = (-1)^(number of even parts) V for B, and small = +-f^2.  f^2 is built
+    from one binomial row (1 -+ x^a)^(2c) per distinct part a of multiplicity
+    c; for B the first part's factor is its quotient sum_{k<a} (-x)^k, squared.
+    """
+    if family == "A":
+        sign, rest, square = -1, parts, IntPoly((1, -2, 1))  # (1-x)^2
+    else:
+        sign = (-1) ** sum(1 for a in parts if a % 2 == 0)
+        quotient = IntPoly([(-1) ** k for k in range(parts[0])] if parts else (1,))
+        rest, square = parts[1:], quotient * quotient
+    for a, c in Counter(rest).items():
+        s = 1 if family == "A" or a % 2 else -1  # the factor is 1 + s x^a
+        row = [0] * (2 * c * a + 1)
+        for i in range(2 * c + 1):
+            row[a * i] = comb(2 * c, i) * s**i
+        square = square * IntPoly(row)
+    return tuple(sign * c for c in square.coeffs)
 
 
 def _family(family: str, mu0: Partition) -> tuple[int, int, tuple[int, ...]]:
-    """(h, divisor, small) of ``FAMILIES`` for the family at mu0."""
+    """(h, divisor, small) for the family at mu0, the divisor from ``FAMILIES``."""
     if family not in FAMILIES:
         raise ValueError(f"family must be 'A' or 'B', got {family!r}")
     h = mu0.weight()
     if family == "B" and not h:
         h = 1  # the class 1^n peels one of its 1s (see ``characters``)
-    return h, FAMILIES[family][1], _small_poly(family, mu0)
+    return h, FAMILIES[family], _small_poly(family, mu0)
 
 
 def _family_sum(family: str, mu0: Partition, n: int) -> int:

@@ -11,8 +11,7 @@ Exit codes:
   1    verify ran and the identity failed for some n
   2    usage errors: unknown flags, malformed partitions/ranges/value lists
   3    domain preconditions: weight mismatch, n below |mu0|, a part equal to 1,
-       not theorem form, j out of range, row cap exceeded, too few OEIS terms,
-       a class with too many parts >= 2 for ``char``'s border-strip route
+       not theorem form, j out of range, row cap exceeded, too few OEIS terms
   4    internal cross-check mismatch (sum --mode both, char --check-all,
        or a value breaking an identity the maths guarantees, in any command)
   5    search parameters out of range (K < 2, window < 4)
@@ -36,6 +35,7 @@ from collections.abc import Iterable
 from itertools import chain
 from math import gcd
 
+from . import characters
 from .characters import ROUTES, RowCapExceeded
 from .charsums import (
     InternalConsistencyError,
@@ -66,9 +66,9 @@ class UsageError(Exception):
     """A malformed range or value list on the command line."""
 
 
-def exit_codes() -> tuple[tuple[type[Exception], int, str | None], ...]:
-    """The exit code of each exception a command may raise, and the error line
-    it prints (None: the exception's own message).
+def exit_codes() -> tuple[tuple[type[Exception], int], ...]:
+    """The exit code of each exception a command may raise; its error line is
+    the exception's message.
 
     The first class that matches wins, so every subclass of ValueError comes
     before ValueError.  ``discovery`` and ``oeis`` are not imported: their
@@ -77,14 +77,12 @@ def exit_codes() -> tuple[tuple[type[Exception], int, str | None], ...]:
     discovery = sys.modules.get(f"{__package__}.discovery")
     oeis = sys.modules.get(f"{__package__}.oeis")
     rows = (
-        (PartitionFormatError, EXIT_USAGE, None),
-        (UsageError, EXIT_USAGE, None),
-        (InternalConsistencyError, EXIT_MISMATCH, None),
-        (discovery and discovery.SearchError, EXIT_SEARCH, None),
-        (oeis and oeis.OeisError, EXIT_NETWORK, None),
-        (ValueError, EXIT_PRECONDITION, None),
-        # char_mn recurses once per part >= 2 of the class; only ``char`` calls it
-        (RecursionError, EXIT_PRECONDITION, "the class has too many parts >= 2 for the border-strip oracle"),
+        (PartitionFormatError, EXIT_USAGE),
+        (UsageError, EXIT_USAGE),
+        (InternalConsistencyError, EXIT_MISMATCH),
+        (discovery and discovery.SearchError, EXIT_SEARCH),
+        (oeis and oeis.OeisError, EXIT_NETWORK),
+        (ValueError, EXIT_PRECONDITION),
     )
     return tuple(row for row in rows if row[0])
 
@@ -154,16 +152,16 @@ def cmd_char(args) -> int:
     record = {"lambda": format_partition(lam), "mu": format_partition(mu)}
     if args.check_all:
         values = {}
-        for method, route in ROUTES.items():
+        for method, name in ROUTES.items():
             try:
-                values[method] = route(lam, mu)
+                values[method] = getattr(characters, name)(lam, mu)
             except RowCapExceeded:
                 pass
         agree = len(set(values.values())) == 1
         record.update(values={k: str(v) for k, v in values.items()}, agree=agree)
         _emit(args.format, record, (f"{method} {v}" for method, v in values.items()))
         return EXIT_OK if agree else EXIT_MISMATCH
-    value = ROUTES[args.method](lam, mu)
+    value = getattr(characters, ROUTES[args.method])(lam, mu)
     record.update(method=args.method, value=str(value))
     _emit(args.format, record, [record["value"]])
     return EXIT_OK
@@ -335,9 +333,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
-        for cls, code, message in exit_codes():
+        for cls, code in exit_codes():
             if isinstance(exc, cls):
-                print(f"error: {message or exc}", file=sys.stderr)
+                print(f"error: {exc}", file=sys.stderr)
                 return code
         raise
     finally:

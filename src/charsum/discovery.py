@@ -22,8 +22,8 @@ all n, by one comparison of character factors, V(mu0') = T(mu0)
 
 ``ratio_test`` cross-checks each pair the join finds on a window of n.
 ``fit_closed_form``, which derives and checks the rational function R with
-family(n) = C(2n, n) * R(n), lives in ``charsums`` next to the sums; this
-module keeps the name for callers that read it from here.
+family(n) = C(2n, n) * R(n), lives in ``charsums`` next to the sums; it stays
+importable from this module because ``perfbench/trace_shim.py`` wraps it here.
 Every value returned is an int or a tuple of ints: a ratio is (p, q).
 """
 

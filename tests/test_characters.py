@@ -13,7 +13,6 @@ from charsum.characters import (
     RowCapExceeded,
     _defects,
     _dimension,
-    _mn,
     char_ct,
     char_mn,
     char_two_row,
@@ -140,18 +139,10 @@ def test_mn_agrees_with_ct_on_three_rows(pair):
         max_size=8,
     )
 )
-def test_memo_keeps_every_value_and_only_the_last_calls_states(pairs):
-    # char_mn clears the memo first, so no call reads the states of another
+def test_calls_share_no_state(pairs):
+    # each call starts from its own shape, so the order of the calls changes nothing
     in_order = [char_mn(lam, mu) for lam, mu in pairs]
-    held = _mn.cache_info()
-    fresh = []
-    for lam, mu in pairs:
-        _mn.cache_clear()
-        fresh.append(char_mn(lam, mu))
-    assert in_order == fresh
-    _mn.cache_clear()
-    char_mn(*pairs[-1])
-    assert _mn.cache_info() == held
+    assert in_order[::-1] == [char_mn(lam, mu) for lam, mu in pairs[::-1]]
 
 
 def _conjugate(lam):

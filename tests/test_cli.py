@@ -101,7 +101,7 @@ class TestCharCommand:
         jsonschema.validate(json.loads(out), load_schema("char_result.v1.json"))
 
     def test_check_all_disagreement_exits_4(self, capsys, monkeypatch):
-        monkeypatch.setitem(characters.ROUTES, "ct", lambda lam, mu: 999)
+        monkeypatch.setattr(characters, "char_ct", lambda lam, mu: 999)
         code, out, _ = run(
             capsys, ["char", "--lambda", "3,1", "--mu", "2,2", "--check-all"]
         )
@@ -643,9 +643,9 @@ def _cli_process(*argv, script=None):
 
 
 class TestDeepClasses:
-    """``char_mn`` recurses once per part >= 2, so long tails of 1s cost no depth;
-    a class with too many parts >= 2 for it is a domain error.  Neither
-    brute-force route recurses."""
+    """``char_mn`` removes one part >= 2 of the class per pass, and closes the
+    1s at once, so neither long tails of 1s nor many parts >= 2 cost stack
+    depth; neither do the brute-force routes."""
 
     @pytest.mark.parametrize("family", ["A", "B"])
     def test_brute_force_sum_at_n_500(self, family):
@@ -657,14 +657,13 @@ class TestDeepClasses:
         assert proc.returncode == 0
         assert proc.stdout == f"{math.comb(600, 100) - math.comb(600, 99)}\n".encode()
 
-    def test_class_of_1000_twos_exits_3_with_one_error_line(self):
-        # 1000 recursion levels pass Python's default limit
-        proc = _cli_process("char", "--lambda", "2000", "--mu", ",".join(["2"] * 1000))
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            3,
-            b"",
-            b"error: the class has too many parts >= 2 for the border-strip oracle\n",
-        )
+    @pytest.mark.parametrize(
+        "lam, value", [("2000", 1), ("1000,1000", math.comb(1000, 500))], ids=["2000", "1000,1000"]
+    )
+    def test_character_on_1000_twos(self, lam, value):
+        # chi^(2000) is trivial; chi^(m, m) on 2^m is (-1)^m C(m, m // 2)
+        proc = _cli_process("char", "--lambda", lam, "--mu", ",".join(["2"] * 1000))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{value}\n".encode(), b"")
 
     def test_brute_force_sums_on_1000_twos_at_n_2000(self):
         # both routes take the class whole, one border-strip pass per part
@@ -676,8 +675,8 @@ class TestDeepClasses:
 
 
 def test_trace_shim_binds_every_name_it_wraps(tmp_path):
-    # perfbench/trace_shim.py wraps library functions by name and reads the
-    # oracle's cache; a rename there would make it fail or change the output
+    # perfbench/trace_shim.py wraps library functions by name; a rename there
+    # would make it fail or change the output
     perfbench = Path(__file__).parents[1] / "perfbench"
     spec = importlib.util.spec_from_file_location("spans", perfbench / "spans.py")
     spans = importlib.util.module_from_spec(spec)
@@ -707,8 +706,8 @@ def test_trace_shim_binds_every_name_it_wraps(tmp_path):
             assert totals[f"charsums.sum_{argv[1]}_bruteforce.calls"] == hi - lo + 1
             assert totals["characters.char_mn.calls"] == 0
         if argv[0] == "char":
-            # char_mn's memo is the one the shim's cache_info reads
-            assert totals["mn_cache_size"] > 0
+            # ``char`` looks each route up by name, so the shim sees the one char_mn call
+            assert totals["characters.char_mn.calls"] == 1
 
 
 def test_every_flag_in_readme_cli_section_is_accepted():
