@@ -8,11 +8,11 @@
    c_j = -c_{n+1-j}; for 0 <= j <= n/2, c_j is the character on (n-j, j).
    It reads one binomial per nonzero coefficient of T.  The hook shapes have
    the same kind of factor: the character of (n-k, 1^k), 0 <= k < n, is the
-   coefficient d_k of (1+x)^(n-sum a_i) * V(x), V the ``hook_factor``
-   (James-Kerber 1981, 2.7, give (1+x)^(n-sum a_i-1) prod(1 - (-x)^a_i);
-   every factor vanishes at x = -1, so V = prod(1 - (-x)^a_i) / (1+x) is a
-   polynomial).  The class 1^n has no factor and peels one of its 1s
-   instead: V = 1, d_k = C(n-1, k).
+   coefficient d_k of (1+x)^(n-sum a_i) * V(x) (James-Kerber 1981, 2.7,
+   give (1+x)^(n-sum a_i-1) prod(1 - (-x)^a_i); every factor vanishes at
+   x = -1, so V = prod(1 - (-x)^a_i) / (1+x) is a polynomial).  The class
+   1^n has no factor and peels a 1 instead: V = 1, d_k = C(n-1, k).
+   ``factor`` is the one place T, V and their squares are built.
 3. ``char_mn``: Murnaghan-Nakayama on the Maya diagram, the independent
    oracle for the other two.  ``char_two_row_mn`` and ``char_hook_mn``
    start from the hook-length row of the 1s and remove each part >= 2 from
@@ -40,6 +40,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from itertools import combinations, permutations
 from math import comb, perm
 
@@ -97,21 +98,29 @@ def char_ct(lmbda: Partition, mu: Partition) -> int:
     return product.get(target, 0)
 
 
-def two_row_factor(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficients of T(x) = (1-x) prod_i (1 + x^{a_i}) for the parts a_i."""
-    t = IntPoly((1, -1))
-    for a in parts:
-        t = t * IntPoly([1] + [0] * (a - 1) + [1])
-    return t.coeffs
+def factor(family: str, parts: tuple[int, ...], power: int = 1) -> tuple[int, ...]:
+    """Coefficients of f^power, f the family's factor: T for "A", V for "B".
 
-
-def hook_factor(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficients of V(x) = prod_i (1 - (-x)^{a_i}) / (1+x), or 1 for no parts."""
-    # the first factor over 1+x is sum_{k<a_1} (-x)^k
-    v = IntPoly([(-1) ** k for k in range(parts[0])] if parts else (1,))
-    for a in parts[1:]:
-        v = v * IntPoly([1] + [0] * (a - 1) + [-((-1) ** a)])
-    return v.coeffs
+    The head factor is 1 - x for A; for B it is the first part's quotient
+    sum_{k<a_1} (-x)^k, and V = 1 for no parts.  Every other distinct part a,
+    of multiplicity c, adds one binomial row (1 + s x^a)^(power c), s = +1
+    for A or odd a and -1 otherwise.
+    """
+    if family == "A":
+        head, rest = IntPoly((1, -1)), parts
+    else:
+        head, rest = IntPoly([(-1) ** k for k in range(parts[0])] if parts else (1,)), parts[1:]
+    f = head
+    for _ in range(power - 1):
+        f = f * head
+    for a, c in Counter(rest).items():
+        s = 1 if family == "A" or a % 2 else -1  # the factor is 1 + s x^a
+        e = power * c
+        row = [0] * (e * a + 1)
+        for i in range(e + 1):
+            row[a * i] = comb(e, i) * s**i
+        f = f * IntPoly(row)
+    return f.coeffs
 
 
 def char_two_row(n: int, j: int, mu0: Partition) -> int:
@@ -124,7 +133,7 @@ def char_two_row(n: int, j: int, mu0: Partition) -> int:
         raise ValueError(f"j must be in [0, {n + 1}], got {j}")
     check_mu0_n(mu0, n)
     e = n - mu0.weight()
-    return sum(t * binomial_coeff(e, j - i) for i, t in enumerate(two_row_factor(mu0)) if t)
+    return sum(t * binomial_coeff(e, j - i) for i, t in enumerate(factor("A", mu0)) if t)
 
 
 def _two_row_route(lmbda: Partition, mu: Partition) -> int:

@@ -13,9 +13,10 @@ counts each character twice, because the two-row polynomial P has
 c_j = -c_{n+1-j}; hence its divisor 2.  Since (1+x)^e is its own reversal,
 each norm is one coefficient of (1+x)^(2e) * f(x) f~(x) with f = T or V.
 That small polynomial f f~ = +-f^2 is palindromic of degree 2 deg f, built
-once per (family, mu0) from binomial rows and cached, one class per family;
-``FAMILIES`` holds each family's divisor.  ``fit_closed_form`` derives R(n) =
-family(n) / C(2n, n) by one O(top^2) recurrence on coefficient lists.
+once per (family, mu0) by ``characters.factor``, the one builder of T and V,
+and cached, one class per family; ``FAMILIES`` holds each family's divisor.
+``fit_closed_form`` derives R(n) = family(n) / C(2n, n) by one O(top^2)
+recurrence on coefficient lists.
 
 With m = n - h (see ``_family``) and top = deg f, both small and the row of
 (1+x)^(2m) are symmetric, so the sum reads half the window:
@@ -33,11 +34,11 @@ V(mu0') = T(mu0): both sides read one coefficient of one row, at one m.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from math import comb, gcd
 
-from .characters import char_hook_mn, char_two_row_mn
+from .characters import char_hook_mn, char_two_row_mn, factor
 from .partition import (
     Partition,
     check_mu0_n,
@@ -45,7 +46,7 @@ from .partition import (
     theorem_form_of,
     theorem_form_reason,
 )
-from .polyring import IntPoly, central_binomial, horner
+from .polyring import central_binomial, horner
 
 
 class InternalConsistencyError(RuntimeError):
@@ -64,23 +65,11 @@ def _small_poly(family: str, parts: tuple[int, ...]) -> tuple[int, ...]:
     """Coefficients of f(x) f~(x), f the character factor of family A or B for mu0.
 
     Each factor 1 -+ x^a of f reverses to -+(1 -+ x^a), so f~ = -T for A and
-    f~ = (-1)^(number of even parts) V for B, and small = +-f^2.  f^2 is built
-    from one binomial row (1 -+ x^a)^(2c) per distinct part a of multiplicity
-    c; for B the first part's factor is its quotient sum_{k<a} (-x)^k, squared.
+    f~ = (-1)^(number of even parts) V for B, and small is that sign times
+    ``factor(family, mu0, 2)``.
     """
-    if family == "A":
-        sign, rest, square = -1, parts, IntPoly((1, -2, 1))  # (1-x)^2
-    else:
-        sign = (-1) ** sum(1 for a in parts if a % 2 == 0)
-        quotient = IntPoly([(-1) ** k for k in range(parts[0])] if parts else (1,))
-        rest, square = parts[1:], quotient * quotient
-    for a, c in Counter(rest).items():
-        s = 1 if family == "A" or a % 2 else -1  # the factor is 1 + s x^a
-        row = [0] * (2 * c * a + 1)
-        for i in range(2 * c + 1):
-            row[a * i] = comb(2 * c, i) * s**i
-        square = square * IntPoly(row)
-    return tuple(sign * c for c in square.coeffs)
+    sign = -1 if family == "A" else (-1) ** sum(1 for a in parts if a % 2 == 0)
+    return tuple(sign * c for c in factor(family, parts, 2))
 
 
 def _family(family: str, mu0: Partition) -> tuple[int, int, tuple[int, ...]]:

@@ -3,7 +3,7 @@
 ``search_pairs`` lists every pair (mu0, mu0'), all parts >= 2 and
 |mu0'| = |mu0| + 2, whose ratio A(mu0)(n) / B(mu0')(n+2) is one constant for
 all n, by one comparison of character factors, V(mu0') = T(mu0)
-(``hook_factor``, ``two_row_factor``).  Two arguments make it exact:
+(``characters.factor``).  Two arguments make it exact:
 
 - Unitriangular.  With S = f f~ palindromic of centre c (``charsums``), the
   sequence m -> [x^(m+c)] (1+x)^(2m) S(x) combines m -> C(2m, m+s),
@@ -20,6 +20,20 @@ all n, by one comparison of character factors, V(mu0') = T(mu0)
   2^(t-1) and mu0' has the one even part 2^t: the pairs are exactly the
   paper's theorem-form mu0 and their companions, and V determines mu0'.
 
+No halving identity exists at another shift, which PAPER.md does not state.
+For families F, G in {A, B}, classes mu0, nu with parts >= 2 and a shift d,
+F(mu0)(n) / G(nu)(n+d) is one constant for all large n only for the pairs
+above (A over B at d = 2, ratio 1/2, or B over A at d = -2) and for F = G,
+nu = mu0, d = 0.  One step of m multiplies S by (1+x)^2/x, and the
+functions m -> C(2m, m+s) / C(2m, m) = prod_{i<=s} (m-i+1)/(m+i) have
+distinct poles, so they are linearly independent: a constant ratio means
+S_F = r (1+x)^(2 delta) S_G, delta the difference of the two m's.  Now
+1 + x = (1 - x^2)/(1 - x) has vector e_2 - e_1, and the e_1 entry of v(T)
+and of v(V(nu)), nu non-empty, is 1, so delta = 0 and the two arguments
+above apply (for F = G, v(f) gives the class back).  B of the empty class,
+V = 1, has e_1 entry 0 and is apart.  A window alone misleads:
+2A((4,2))(n) = B((9))(n+3) and = B((10))(n+4) hold for n = 7..14 only.
+
 ``ratio_test`` cross-checks each pair the join finds on a window of n.
 ``fit_closed_form``, which derives and checks the rational function R with
 family(n) = C(2n, n) * R(n), lives in ``charsums`` next to the sums; it stays
@@ -32,7 +46,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .characters import hook_factor, two_row_factor
+from .characters import factor
 from .charsums import InternalConsistencyError, fit_closed_form, sum_A, sum_B
 from .partition import (
     Partition,
@@ -103,9 +117,9 @@ def search_pairs(K: int, window: int = DEFAULT_SEARCH_WINDOW) -> list[TheoremPai
     pairs = []
     for w in range(K + 1):
         # V determines mu0' (see above), so no key is shared
-        by_factor = {hook_factor(p): p for p in enumerate_partitions(w + 2, min_part=2)}
+        by_factor = {factor("B", p): p for p in enumerate_partitions(w + 2, min_part=2)}
         for mu0 in enumerate_partitions(w, min_part=2):
-            mu0p = by_factor.get(two_row_factor(mu0))
+            mu0p = by_factor.get(factor("A", mu0))
             if mu0p is None:
                 continue
             ratio = ratio_test(mu0, mu0p, w, w + window)

@@ -16,7 +16,7 @@ from charsum.characters import (
     char_ct,
     char_mn,
     char_two_row,
-    hook_factor,
+    factor,
 )
 from charsum.charsums import sum_A, sum_B
 from charsum.partition import Partition, enumerate_partitions, make_partition
@@ -238,6 +238,50 @@ class TestTwoRowGenPoly:
         assert sum(c * c for c in cs) == 2 * sum_A(mu0, n)
 
 
+def dense_factor(family, parts):
+    """T for "A" and V for "B" by one ``IntPoly`` product per part: the chains
+    that ``factor`` replaced, kept as its reference."""
+    if family == "A":
+        f = IntPoly((1, -1))
+        for a in parts:
+            f = f * IntPoly([1] + [0] * (a - 1) + [1])
+    else:
+        # the first factor over 1+x is sum_{k<a_1} (-x)^k
+        f = IntPoly([(-1) ** k for k in range(parts[0])] if parts else (1,))
+        for a in parts[1:]:
+            f = f * IntPoly([1] + [0] * (a - 1) + [-((-1) ** a)])
+    return f.coeffs
+
+
+def dense_power(family, parts, power):
+    """``dense_factor`` to the power 1 or 2."""
+    f = IntPoly(dense_factor(family, parts))
+    return f.coeffs if power == 1 else (f * f).coeffs
+
+
+class TestFactor:
+    """``factor`` builds f^power from binomial rows; the reference multiplies
+    one factor per part."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from("AB"),
+        st.lists(st.integers(2, 12), max_size=8).map(make_partition),
+        st.sampled_from([1, 2]),
+    )
+    def test_equals_the_dense_chain(self, family, mu0, power):
+        assert factor(family, mu0, power) == dense_power(family, mu0, power)
+
+    def test_every_class_of_weight_up_to_20(self):
+        classes = [mu0 for w in range(21) for mu0 in enumerate_partitions(w, 2)]
+        assert len(classes) == 627
+        for family in "AB":
+            for mu0 in classes:
+                for power in (1, 2):
+                    expected = dense_power(family, mu0, power)
+                    assert factor(family, mu0, power) == expected, (family, mu0, power)
+
+
 class TestHookFactor:
     @settings(max_examples=120, deadline=None)
     @given(st.sampled_from([mu0 for mu0 in MU0_UP_TO_10 if mu0.weight() <= 8]), st.integers(0, 6))
@@ -247,14 +291,14 @@ class TestHookFactor:
         h = mu0.weight() or 1
         n = h + excess
         cls = padded(mu0, n)
-        q = IntPoly(comb(excess, k) for k in range(excess + 1)) * IntPoly(hook_factor(mu0.parts))
+        q = IntPoly(comb(excess, k) for k in range(excess + 1)) * IntPoly(dense_factor("B", mu0))
         assert list(q.coeffs) == [char_mn(make_partition([n - k] + [1] * k), cls) for k in range(n)]
         assert sum(d * d for d in q.coeffs) == sum_B(mu0, n)
 
     def test_examples(self):
-        assert hook_factor(()) == (1,)
-        assert hook_factor((2,)) == (1, -1)
-        assert hook_factor((3, 2)) == (IntPoly((1, -1, 1)) * IntPoly((1, 0, -1))).coeffs
+        assert dense_factor("B", ()) == (1,)
+        assert dense_factor("B", (2,)) == (1, -1)
+        assert dense_factor("B", (3, 2)) == (IntPoly((1, -1, 1)) * IntPoly((1, 0, -1))).coeffs
         assert sum_B(Partition(), 0) == 0  # no hook has 0 cells
 
 

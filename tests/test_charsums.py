@@ -33,9 +33,9 @@ from charsum.characters import (
     char_mn,
     char_two_row,
     char_two_row_mn,
-    hook_factor,
-    two_row_factor,
+    factor,
 )
+from test_characters import dense_factor
 
 
 class TestSumA:
@@ -311,10 +311,9 @@ class TestKernelProperties:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_small_poly_equals_the_dense_product(self, family):
         # the reference squares the dense factor: f(x) f~(x) term by term
-        factor = two_row_factor if family == "A" else hook_factor
         for w in range(15):
             for mu0 in enumerate_partitions(w, 2):
-                f = factor(mu0)
+                f = dense_factor(family, mu0)
                 dense = (IntPoly(f) * IntPoly(reversed(f))).coeffs
                 assert _small_poly(family, mu0) == dense, mu0
 
@@ -436,7 +435,7 @@ class TestProofStepIdentities:
         ]
         assert len(forms) == 136
         for mu0, form in forms:
-            assert hook_factor(companion_mu_prime(form).parts) == two_row_factor(mu0.parts), mu0
+            assert factor("B", companion_mu_prime(form)) == factor("A", mu0), mu0
 
     def test_only_the_companion_satisfies_the_identity(self):
         # among nu of weight |mu0| + 2, V(nu) = T(mu0) picks out exactly the
@@ -446,11 +445,11 @@ class TestProofStepIdentities:
         for w in range(29):
             by_factor = {}
             for nu in enumerate_partitions(w + 2, 2):
-                by_factor.setdefault(hook_factor(nu.parts), []).append(nu)
+                by_factor.setdefault(factor("B", nu), []).append(nu)
             for mu0 in enumerate_partitions(w, 2):
                 form = theorem_form_of(mu0)
                 expected = [] if form is None else [companion_mu_prime(form)]
-                assert by_factor.get(two_row_factor(mu0.parts), []) == expected, mu0
+                assert by_factor.get(factor("A", mu0), []) == expected, mu0
                 pairs += len(expected)
         assert pairs == 498
 

@@ -658,11 +658,20 @@ class TestDeepClasses:
         assert proc.stdout == f"{math.comb(600, 100) - math.comb(600, 99)}\n".encode()
 
     @pytest.mark.parametrize(
-        "lam, value", [("2000", 1), ("1000,1000", math.comb(1000, 500))], ids=["2000", "1000,1000"]
+        "lam, value, method",
+        [
+            ("2000", 1, "mn"),
+            ("1000,1000", math.comb(1000, 500), "mn"),
+            ("2000", 1, "tworow"),
+            ("1000,1000", math.comb(1000, 500), "tworow"),
+        ],
+        ids=["2000", "1000,1000", "2000-tworow", "1000,1000-tworow"],
     )
-    def test_character_on_1000_twos(self, lam, value):
-        # chi^(2000) is trivial; chi^(m, m) on 2^m is (-1)^m C(m, m // 2)
-        proc = _cli_process("char", "--lambda", lam, "--mu", ",".join(["2"] * 1000))
+    def test_character_on_1000_twos(self, lam, value, method):
+        # chi^(2000) is trivial; chi^(m, m) on 2^m is (-1)^m C(m, m // 2); the
+        # tworow route reads T, one binomial row for the 1000 twos
+        twos = ",".join(["2"] * 1000)
+        proc = _cli_process("char", "--lambda", lam, "--mu", twos, "--method", method)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{value}\n".encode(), b"")
 
     def test_brute_force_sums_on_1000_twos_at_n_2000(self):

@@ -170,6 +170,16 @@ class TestSearchPairs:
         assert (make_partition([14]), make_partition([14, 2])) not in got
         assert (make_partition([14, 7]), make_partition([7, 7, 7, 2])) not in got
 
+    @pytest.mark.parametrize("nu, d", [([9], 3), ([10], 4)], ids=["B(9)", "B(10)"])
+    def test_other_shifts_agree_only_on_a_window(self, nu, d):
+        # no halving identity exists at a shift other than 2 (see ``discovery``),
+        # yet 2A((4,2))(n) = B(nu)(n + d) on n = 7..14: with N = n - 7,
+        # A = C(2N, N) - C(2N, N - 8) and B((9))(n + 3) = 2C(2N, N) + 2C(2N, N - 9),
+        # whose tails vanish up to N = 7
+        mu0, nu = make_partition([4, 2]), make_partition(nu)
+        agree = [n for n in range(6, 16) if 2 * sum_A(mu0, n) == sum_B(nu, n + d)]
+        assert agree == list(range(7, 15))
+
     def test_a_ratio_other_than_one_half_is_internal_error(self, capsys, monkeypatch):
         monkeypatch.setattr(discovery, "ratio_test", lambda mu0, mu0p, n_lo, n_hi: (1, 3))
         with pytest.raises(InternalConsistencyError, match="1/3"):
