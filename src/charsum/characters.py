@@ -1,51 +1,40 @@
-"""Symmetric-group character values, computed three ways.
+"""Symmetric-group character values, computed three ways: the routes of ``char``.
 
 1. ``char_ct``: exact multivariate constant-term extraction from the product
    of difference factors and power sums over one variable per row.
 2. ``char_two_row``: for shapes with at most two rows, the coefficient c_j of
-   P(x) = (1+x)^(n-sum a_i) * T(x), T(x) = (1-x) prod(1 + x^a_i), where the
-   a_i are the parts of the padded class other than 1.  P has degree n+1 and
-   c_j = -c_{n+1-j}; for 0 <= j <= n/2, c_j is the character on (n-j, j).
-   It reads one binomial per nonzero coefficient of T.  The hook shapes have
-   the same kind of factor: the character of (n-k, 1^k), 0 <= k < n, is the
-   coefficient d_k of (1+x)^(n-sum a_i) * V(x) (James-Kerber 1981, 2.7,
-   give (1+x)^(n-sum a_i-1) prod(1 - (-x)^a_i); every factor vanishes at
-   x = -1, so V = prod(1 - (-x)^a_i) / (1+x) is a polynomial).  The class
-   1^n has no factor and peels a 1 instead: V = 1, d_k = C(n-1, k).
-   ``factor`` is the one place T, V and their squares are built.
+   (1+x)^(n-sum a_i) * T(x), where the a_i are the parts of the padded class
+   other than 1 and T is ``charsums.factor`` (``charsums`` says which
+   coefficient is which character).  It reads one binomial per nonzero
+   coefficient of T.
 3. ``char_mn``: Murnaghan-Nakayama on the Maya diagram, the independent
-   oracle for the other two.  ``char_two_row_mn`` and ``char_hook_mn``
-   start from the hook-length row of the 1s and remove each part >= 2 from
-   every two-row shape, or every hook, at once, one pass per part, since
-   there a border strip is one of three index moves; they are the oracles of
-   ``sum_A_bruteforce`` and ``sum_B_bruteforce``.  ``char_mn`` starts from
-   lambda instead and removes each part >= 2 of the class from every shape
-   of the current level at once, adding up equal shapes: no memo and no
-   recursion.  Row i of the shape puts a bead at lambda_i - i (i >= 1,
-   lambda_i = 0 past the last row), so far enough down every place holds a
-   bead.  The shape is kept as its defects, the places where it differs
-   from the vacuum of beads at every place < 0: the beads at
-   a_i = lambda_i - i >= 0 and the empty places -b_i - 1 < 0,
-   b_i = lambda'_i - i, for i up to the side d of the Durfee square (the
-   Frobenius coordinates (a | b)).  There are 2d of them whatever n is: 2 for
-   a hook, at most 4 for a two-row shape.  Removing a k-border-strip moves a
-   bead x to an empty x-k, with sign (-1)^(beads strictly between), and
-   toggles both places in the defects.  A bead that can move is a defect
-   >= 0 or the vacuum's bead k above a defect < 0, so a move looks at the
-   2d defects and nothing else.  Only the class's parts >= 2 are removed
-   one by one; the 1s are closed at once, on each shape of the last level,
-   by the hook-length formula in Frobenius coordinates.
+   oracle for the other two.  It starts from lambda and removes each
+   part >= 2 of the class from every shape of the current level at
+   once, adding up equal shapes: no memo and no recursion.  Row i of the
+   shape puts a bead at lambda_i - i (i >= 1, lambda_i = 0 past the last
+   row), so far enough down every place holds a bead.  The shape is kept as
+   its defects, the places where it differs from the vacuum of beads at
+   every place < 0: the beads at a_i = lambda_i - i >= 0 and the empty
+   places -b_i - 1 < 0, b_i = lambda'_i - i, for i up to the side d of the
+   Durfee square (the Frobenius coordinates (a | b)).  There are 2d of them
+   whatever n is: 2 for a hook, at most 4 for a two-row shape.  Removing a
+   k-border-strip moves a bead x to an empty x-k, with sign (-1)^(beads
+   strictly between), and toggles both places in the defects.  A bead that
+   can move is a defect >= 0 or the vacuum's bead k above a defect < 0, so a
+   move looks at the 2d defects and nothing else.  Only the class's parts
+   >= 2 are removed one by one; the 1s are closed at once, on each shape of
+   the last level, by the hook-length formula in Frobenius coordinates.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from itertools import combinations, permutations
 from math import comb, perm
 
+from .charsums import factor
 from .partition import Partition, check_mu0_n
-from .polyring import IntPoly, binomial_coeff
+from .polyring import binomial_coeff
 
 DEFAULT_ROW_CAP = 4
 
@@ -96,31 +85,6 @@ def char_ct(lmbda: Partition, mu: Partition) -> int:
                     grown[raised] = grown.get(raised, 0) + c
         product = {exps: c for exps, c in grown.items() if c}
     return product.get(target, 0)
-
-
-def factor(family: str, parts: tuple[int, ...], power: int = 1) -> tuple[int, ...]:
-    """Coefficients of f^power, f the family's factor: T for "A", V for "B".
-
-    The head factor is 1 - x for A; for B it is the first part's quotient
-    sum_{k<a_1} (-x)^k, and V = 1 for no parts.  Every other distinct part a,
-    of multiplicity c, adds one binomial row (1 + s x^a)^(power c), s = +1
-    for A or odd a and -1 otherwise.
-    """
-    if family == "A":
-        head, rest = IntPoly((1, -1)), parts
-    else:
-        head, rest = IntPoly([(-1) ** k for k in range(parts[0])] if parts else (1,)), parts[1:]
-    f = head
-    for _ in range(power - 1):
-        f = f * head
-    for a, c in Counter(rest).items():
-        s = 1 if family == "A" or a % 2 else -1  # the factor is 1 + s x^a
-        e = power * c
-        row = [0] * (e * a + 1)
-        for i in range(e + 1):
-            row[a * i] = comb(e, i) * s**i
-        f = f * IntPoly(row)
-    return f.coeffs
 
 
 def char_two_row(n: int, j: int, mu0: Partition) -> int:
@@ -226,76 +190,3 @@ def _dimension(defects: tuple[int, ...]) -> int:
         else:
             bottom *= e - d
     return top // bottom
-
-
-def char_two_row_mn(mu0: Partition, n: int) -> list[int]:
-    """[chi^(n-q, q)(mu0 u 1^(n-|mu0|)) for q = 0..n//2] by border-strip removal.
-
-    The 1s are closed first: at s = n - |mu0| the row is the hook-length
-    formula f^(s-q, q) = C(s, q)(s-2q+1)/(s-q+1).  Then each part k of mu0
-    maps the row of size s to the row of size s + k.  A k-strip leaves
-    (p, q), p >= q, in one of three ways:
-
-      row 1 only    (p-k, q)          if p-k >= q,               sign +1
-      row 2 only    (p, q-k)          if q >= k,                 sign +1
-      both rows     (q-1, p+1-k)      if p-q+2 <= k <= p+1,      sign -1
-
-    (a strip over both rows has exactly one column in both, so row 1 keeps
-    q - 1 cells).  Each pass is O(n) additions and no state outlives the
-    call; nothing is read from the formula's factors.
-    """
-    check_mu0_n(mu0, n)
-    s = n - mu0.weight()
-    row, binom = [], 1  # binom is C(s, q), stepped
-    for q in range(s // 2 + 1):
-        row.append(binom * (s - 2 * q + 1) // (s - q + 1))
-        binom = binom * (s - q) // (q + 1)
-    for k in mu0:
-        s += k
-        grown = []
-        for q in range(s // 2 + 1):
-            p = s - q
-            value = row[q] if p - k >= q else 0
-            if q >= k:
-                value += row[q - k]
-            if p - q + 2 <= k <= p + 1:
-                value -= row[p + 1 - k]
-            grown.append(value)
-        row = grown
-    return row
-
-
-def char_hook_mn(mu0: Partition, n: int) -> list[int]:
-    """[chi^(n-b, 1^b)(mu0 u 1^(n-|mu0|)) for b = 0..n-1] by border-strip removal.
-
-    As in ``char_two_row_mn``, the 1s are closed first, here by the
-    hook-length row f^(s-b, 1^b) = C(s-1, b) at s = n - |mu0|, and each part
-    k of mu0 maps the row of size s to the row of size s + k.  A k-strip
-    leaves (s+k-b, 1^b) at the end of the arm, at the end of the leg or,
-    since a strip through the corner cell takes every cell, as a whole hook:
-
-      arm           (s-b, 1^b)          if b < s,      sign +1
-      leg           (s+k-b, 1^(b-k))    if b >= k,     sign (-1)^(k-1)
-      whole hook    the empty shape     if s = 0,      sign (-1)^b
-    """
-    check_mu0_n(mu0, n)
-    s = n - mu0.weight()
-    row, binom = [], 1  # binom is C(s-1, b), stepped
-    for b in range(s):
-        row.append(binom)
-        binom = binom * (s - 1 - b) // (b + 1)
-    for k in mu0:
-        if s:
-            pad = [0] * k
-            leg = row if k % 2 else [-c for c in row]
-            row = [a + b for a, b in zip(row + pad, pad + leg)]
-        else:
-            row = [(-1) ** b for b in range(k)]
-        s += k
-    return row
-
-
-# ``charsum char``'s routes, each by the name of its function here, looked up as
-# the command runs so a wrapper bound to that name sees the calls; each raises
-# RowCapExceeded for a shape it cannot take.
-ROUTES = {"mn": "char_mn", "ct": "char_ct", "tworow": "_two_row_route"}

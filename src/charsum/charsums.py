@@ -1,22 +1,30 @@
 """Sums of squared characters over two-rowed and hook shapes.
 
-Each family's characters are the coefficients of one polynomial, so its sum
-is a squared norm.  With mu0 = (a_1,...,a_r) (smallest part >= 2), n >= |mu0|
-and ||g||^2 = [x^deg g] g(x) g~(x), g~(x) = x^(deg g) g(1/x):
+With mu0 = (a_1,...,a_r) (smallest part >= 2) and n >= |mu0|, each family's
+characters on the class mu0 u 1^(n-|mu0|) are the coefficients of one
+polynomial (1+x)^(n-sum a) f(x):
 
-  two-rowed  A(mu0)(n) = 1/2 ||(1+x)^(n-sum a) T(x)||^2,  T(x) = (1-x) prod (1+x^{a_i})
-  hook       B(mu0)(n) =     ||(1+x)^(n-sum a) V(x)||^2,  V(x) = prod (1-(-x)^{a_i}) / (1+x)
+  two-rowed  f = T(x) = (1-x) prod (1+x^{a_i}): c_j is the character of
+             (n-j, j) for 0 <= j <= n/2, and c_j = -c_{n+1-j}
+  hook       f = V(x) = prod (1-(-x)^{a_i}) / (1+x): d_k is the character
+             of (n-k, 1^k) for 0 <= k < n (James-Kerber 1981, 2.7, give
+             (1+x)^(n-sum a_i-1) prod (1-(-x)^{a_i}); every factor vanishes
+             at x = -1, so V is a polynomial)
 
-except that B of the empty class has V = 1 and exponent n-1 (``characters``
-says which coefficient is which character).  A's norm
-counts each character twice, because the two-row polynomial P has
-c_j = -c_{n+1-j}; hence its divisor 2.  Since (1+x)^e is its own reversal,
-each norm is one coefficient of (1+x)^(2e) * f(x) f~(x) with f = T or V.
-That small polynomial f f~ = +-f^2 is palindromic of degree 2 deg f, built
-once per (family, mu0) by ``characters.factor``, the one builder of T and V,
-and cached, one class per family; ``FAMILIES`` holds each family's divisor.
-``fit_closed_form`` derives R(n) = family(n) / C(2n, n) by one O(top^2)
-recurrence on coefficient lists.
+except that the class 1^n has no factor and peels a 1 instead: V = 1 and
+d_k = C(n-1, k).  ``factor`` is the one builder of T, V and their squares.
+So each sum is a squared norm, with ||g||^2 = [x^deg g] g(x) g~(x) and
+g~(x) = x^(deg g) g(1/x):
+
+  A(mu0)(n) = 1/2 ||(1+x)^(n-sum a) T(x)||^2   (c_j = -c_{n+1-j} counts each twice)
+  B(mu0)(n) =     ||(1+x)^(n-sum a) V(x)||^2
+
+Since (1+x)^e is its own reversal, each norm is one coefficient of
+(1+x)^(2e) * f(x) f~(x).  That small polynomial f f~ = +-f^2 is palindromic
+of degree 2 deg f, built once per (family, mu0) and cached, one class per
+family; ``FAMILIES`` holds each family's divisor.  ``fit_closed_form``
+derives R(n) = family(n) / C(2n, n) by one O(top^2) recurrence on
+coefficient lists.
 
 With m = n - h (see ``_family``) and top = deg f, both small and the row of
 (1+x)^(2m) are symmetric, so the sum reads half the window:
@@ -27,6 +35,14 @@ gives C(2m, m), stepped from the previous row's when a sweep moves m by one.
 The results are asserted to be non-negative integers, so a slip in a
 factor or the halving surfaces as a hard error instead of a wrong value.
 
+``char_two_row_mn`` and ``char_hook_mn`` take the same characters by
+border-strip removal instead, reading nothing from T, V or the kernel: from
+the hook-length row of the 1s, each part >= 2 is removed from every two-row
+shape, or every hook, at once, one O(n) pass per part, since there a border
+strip is one of three index moves.  They are the rows of
+``sum_A_bruteforce`` and ``sum_B_bruteforce``, so ``--mode both`` checks the
+formula against the characters at every n.
+
 ``verify_theorem`` checks 2*A(mu0)(n) = B(mu0')(n+2) over an n-range for a
 partition in theorem form, mu0' its companion.  The theorem is
 V(mu0') = T(mu0): both sides read one coefficient of one row, at one m.
@@ -34,11 +50,10 @@ V(mu0') = T(mu0): both sides read one coefficient of one row, at one m.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import comb, gcd
 
-from .characters import char_hook_mn, char_two_row_mn, factor
 from .partition import (
     Partition,
     check_mu0_n,
@@ -46,7 +61,7 @@ from .partition import (
     theorem_form_of,
     theorem_form_reason,
 )
-from .polyring import central_binomial, horner
+from .polyring import IntPoly, central_binomial, horner
 
 
 class InternalConsistencyError(RuntimeError):
@@ -56,6 +71,31 @@ class InternalConsistencyError(RuntimeError):
 # family -> divisor: with m = n - h, f the family's factor and small(x) = f(x) f~(x),
 # the family's sum at n is [x^(m + deg f)] (1+x)^(2m) small(x) / divisor.
 FAMILIES = {"A": 2, "B": 1}
+
+
+def factor(family: str, parts: tuple[int, ...], power: int = 1) -> tuple[int, ...]:
+    """Coefficients of f^power, f the family's factor: T for "A", V for "B".
+
+    The head factor is 1 - x for A; for B it is the first part's quotient
+    sum_{k<a_1} (-x)^k, and V = 1 for no parts.  Every other distinct part a,
+    of multiplicity c, adds one binomial row (1 + s x^a)^(power c), s = +1
+    for A or odd a and -1 otherwise.
+    """
+    if family == "A":
+        head, rest = IntPoly((1, -1)), parts
+    else:
+        head, rest = IntPoly([(-1) ** k for k in range(parts[0])] if parts else (1,)), parts[1:]
+    f = head
+    for _ in range(power - 1):
+        f = f * head
+    for a, c in Counter(rest).items():
+        s = 1 if family == "A" or a % 2 else -1  # the factor is 1 + s x^a
+        e = power * c
+        row = [0] * (e * a + 1)
+        for i in range(e + 1):
+            row[a * i] = comb(e, i) * s**i
+        f = f * IntPoly(row)
+    return f.coeffs
 
 
 # Every path sweeps n for at most one class per family: a ``verify`` row or a
@@ -78,7 +118,7 @@ def _family(family: str, mu0: Partition) -> tuple[int, int, tuple[int, ...]]:
         raise ValueError(f"family must be 'A' or 'B', got {family!r}")
     h = mu0.weight()
     if family == "B" and not h:
-        h = 1  # the class 1^n peels one of its 1s (see ``characters``)
+        h = 1  # the class 1^n peels one of its 1s (see above)
     return h, FAMILIES[family], _small_poly(family, mu0)
 
 
@@ -116,29 +156,80 @@ def sum_B(mu0: Partition, n: int) -> int:
     return _family_sum("B", mu0, n)
 
 
-def sum_A_bruteforce(mu0: Partition, n: int) -> int:
-    """A by definition: squared border-strip characters over (n-q, q), q <= n/2.
+def char_two_row_mn(mu0: Partition, n: int) -> list[int]:
+    """[chi^(n-q, q)(mu0 u 1^(n-|mu0|)) for q = 0..n//2] by border-strip removal.
 
-    ``char_two_row_mn`` gives every character of n in one row: from the
-    hook-length row of the class's 1s, each part k >= 2 is removed from all
-    two-row shapes at once.  On (p, q) a k-strip lies in row 1, giving
-    (p-k, q) with sign +1; in row 2, giving (p, q-k) with sign +1; or over
-    both rows, giving (q-1, p+1-k) with sign -1.  So each n costs one pass
-    of O(n) additions per part >= 2, with no memo, no recursion and nothing
-    kept between calls, and no value comes from T or the kernel: ``--mode
-    both`` checks the formula against the characters at every n.
+    The 1s are closed first: at s = n - |mu0| the row is the hook-length
+    formula f^(s-q, q) = C(s, q)(s-2q+1)/(s-q+1).  Then each part k of mu0
+    maps the row of size s to the row of size s + k.  A k-strip leaves
+    (p, q), p >= q, in one of three ways:
+
+      row 1 only    (p-k, q)          if p-k >= q,               sign +1
+      row 2 only    (p, q-k)          if q >= k,                 sign +1
+      both rows     (q-1, p+1-k)      if p-q+2 <= k <= p+1,      sign -1
+
+    (a strip over both rows has exactly one column in both, so row 1 keeps
+    q - 1 cells).  Each pass is O(n) additions and no state outlives the
+    call; nothing is read from the formula's factors.
     """
+    check_mu0_n(mu0, n)
+    s = n - mu0.weight()
+    row, binom = [], 1  # binom is C(s, q), stepped
+    for q in range(s // 2 + 1):
+        row.append(binom * (s - 2 * q + 1) // (s - q + 1))
+        binom = binom * (s - q) // (q + 1)
+    for k in mu0:
+        s += k
+        grown = []
+        for q in range(s // 2 + 1):
+            p = s - q
+            value = row[q] if p - k >= q else 0
+            if q >= k:
+                value += row[q - k]
+            if p - q + 2 <= k <= p + 1:
+                value -= row[p + 1 - k]
+            grown.append(value)
+        row = grown
+    return row
+
+
+def char_hook_mn(mu0: Partition, n: int) -> list[int]:
+    """[chi^(n-b, 1^b)(mu0 u 1^(n-|mu0|)) for b = 0..n-1] by border-strip removal.
+
+    As in ``char_two_row_mn``, the 1s are closed first, here by the
+    hook-length row f^(s-b, 1^b) = C(s-1, b) at s = n - |mu0|, and each part
+    k of mu0 maps the row of size s to the row of size s + k.  A k-strip
+    leaves (s+k-b, 1^b) at the end of the arm, at the end of the leg or,
+    since a strip through the corner cell takes every cell, as a whole hook:
+
+      arm           (s-b, 1^b)          if b < s,      sign +1
+      leg           (s+k-b, 1^(b-k))    if b >= k,     sign (-1)^(k-1)
+      whole hook    the empty shape     if s = 0,      sign (-1)^b
+    """
+    check_mu0_n(mu0, n)
+    s = n - mu0.weight()
+    row, binom = [], 1  # binom is C(s-1, b), stepped
+    for b in range(s):
+        row.append(binom)
+        binom = binom * (s - 1 - b) // (b + 1)
+    for k in mu0:
+        if s:
+            pad = [0] * k
+            leg = row if k % 2 else [-c for c in row]
+            row = [a + b for a, b in zip(row + pad, pad + leg)]
+        else:
+            row = [(-1) ** b for b in range(k)]
+        s += k
+    return row
+
+
+def sum_A_bruteforce(mu0: Partition, n: int) -> int:
+    """A by definition: squared border-strip characters over (n-q, q), q <= n/2."""
     return sum(c * c for c in char_two_row_mn(mu0, n))
 
 
 def sum_B_bruteforce(mu0: Partition, n: int) -> int:
-    """B by definition: squared border-strip characters over the hooks (n-b, 1^b), b < n.
-
-    ``char_hook_mn`` gives every hook character of n in one row, as
-    ``char_two_row_mn`` does for A: one pass of O(n) additions per part >= 2
-    and no value from V or the kernel, so ``--mode both`` checks the formula
-    against the characters at every n.
-    """
+    """B by definition: squared border-strip characters over the hooks (n-b, 1^b), b < n."""
     return sum(c * c for c in char_hook_mn(mu0, n))
 
 

@@ -20,7 +20,7 @@ Exit codes:
   141  stdout was closed before the output was written (128 + SIGPIPE)
 
 Each command raises and ``main`` maps the exception to its code through
-``exit_codes()``, printing one ``error:`` line to stderr.  Code 6 is unused.
+``EXIT_CODES``, printing one ``error:`` line to stderr.  Code 6 is unused.
 A warning the library raises on the way (a cache file that does not parse,
 say) is printed as one ``warning:`` line, without Python's source location.
 """
@@ -35,22 +35,11 @@ from collections.abc import Iterable
 from itertools import chain
 from math import gcd
 
-from . import characters
-from .characters import ROUTES, RowCapExceeded
-from .charsums import (
-    InternalConsistencyError,
-    sum_A,
-    sum_A_bruteforce,
-    sum_B,
-    sum_B_bruteforce,
-    verify_theorem,
-)
-from .partition import PartitionFormatError, format_partition, parse_partition
+from .partition import format_partition, parse_partition
 
-# ``discovery``, ``oeis`` and ``json`` are imported by the commands that use
-# them, not by ``exit_codes``, so a ``sum``, ``verify`` or ``char`` run starts
-# without them, failing or not, and a ``fit`` run without ``discovery``.  Each
-# import binds its names as the command runs, so a test's monkeypatch is seen.
+# Each command imports the library modules it runs, as it runs: a run loads
+# no other command's code, failing or not, and a test's monkeypatch of a
+# library name is seen.
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -66,25 +55,22 @@ class UsageError(Exception):
     """A malformed range or value list on the command line."""
 
 
-def exit_codes() -> tuple[tuple[type[Exception], int], ...]:
-    """The exit code of each exception a command may raise; its error line is
-    the exception's message.
+# The exit code of each exception a command may raise, by class name; the
+# first class of the exception's MRO listed here gives its code, so no module
+# is imported to name its classes.  The error line is the exception's message.
+EXIT_CODES = {
+    "PartitionFormatError": EXIT_USAGE,
+    "UsageError": EXIT_USAGE,
+    "InternalConsistencyError": EXIT_MISMATCH,
+    "SearchError": EXIT_SEARCH,
+    "OeisError": EXIT_NETWORK,
+    "ValueError": EXIT_PRECONDITION,
+}
 
-    The first class that matches wins, so every subclass of ValueError comes
-    before ValueError.  ``discovery`` and ``oeis`` are not imported: their
-    classes are listed only once loaded, since no exception of theirs exists before.
-    """
-    discovery = sys.modules.get(f"{__package__}.discovery")
-    oeis = sys.modules.get(f"{__package__}.oeis")
-    rows = (
-        (PartitionFormatError, EXIT_USAGE),
-        (UsageError, EXIT_USAGE),
-        (InternalConsistencyError, EXIT_MISMATCH),
-        (discovery and discovery.SearchError, EXIT_SEARCH),
-        (oeis and oeis.OeisError, EXIT_NETWORK),
-        (ValueError, EXIT_PRECONDITION),
-    )
-    return tuple(row for row in rows if row[0])
+# ``char``'s routes, each by the name of its function in ``characters``, looked
+# up as the command runs so a wrapper bound to that name sees the calls; each
+# raises RowCapExceeded for a shape it cannot take.
+ROUTES = {"mn": "char_mn", "ct": "char_ct", "tworow": "_two_row_route"}
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -147,6 +133,8 @@ def _emit(fmt: str, record: dict, plain: Iterable[str]) -> None:
 
 
 def cmd_char(args) -> int:
+    from . import characters
+
     lam = parse_partition(args.lambda_)
     mu = parse_partition(args.mu)
     record = {"lambda": format_partition(lam), "mu": format_partition(mu)}
@@ -155,7 +143,7 @@ def cmd_char(args) -> int:
         for method, name in ROUTES.items():
             try:
                 values[method] = getattr(characters, name)(lam, mu)
-            except RowCapExceeded:
+            except characters.RowCapExceeded:
                 pass
         agree = len(set(values.values())) == 1
         record.update(values={k: str(v) for k, v in values.items()}, agree=agree)
@@ -168,18 +156,20 @@ def cmd_char(args) -> int:
 
 
 def cmd_sum(args) -> int:
+    from . import charsums
+
     mu0 = parse_partition(args.mu0)
     n_lo, n_hi = _parse_range(args.n)
 
-    lemma = sum_A if args.family == "A" else sum_B
-    brute = sum_A_bruteforce if args.family == "A" else sum_B_bruteforce
+    lemma = charsums.sum_A if args.family == "A" else charsums.sum_B
+    brute = charsums.sum_A_bruteforce if args.family == "A" else charsums.sum_B_bruteforce
     routes = {"lemma": (lemma,), "brute": (brute,), "both": (lemma, brute)}[args.mode]
     rows = []
     for n in range(n_lo, n_hi + 1):
         value, *checks = [route(mu0, n) for route in routes]
         for check in checks:
             if check != value:
-                raise InternalConsistencyError(
+                raise charsums.InternalConsistencyError(
                     f"lemma/brute mismatch at n={n}: {value} vs {check}"
                 )
         rows.append((n, value))
@@ -196,6 +186,8 @@ def cmd_sum(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .charsums import verify_theorem
+
     report = verify_theorem(parse_partition(args.mu0), *_parse_range(args.n))
     mu0, mu0p = format_partition(report.mu0), format_partition(report.mu0_prime)
     rows = ({"n": n, "A": str(a), "B": str(b), "holds": 2 * a == b} for n, a, b in report.rows)
@@ -333,10 +325,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
-        for cls, code in exit_codes():
-            if isinstance(exc, cls):
+        for cls in type(exc).__mro__:
+            if cls.__name__ in EXIT_CODES:
                 print(f"error: {exc}", file=sys.stderr)
-                return code
+                return EXIT_CODES[cls.__name__]
         raise
     finally:
         warnings.formatwarning = saved_format

@@ -3,7 +3,7 @@
 ``search_pairs`` lists every pair (mu0, mu0'), all parts >= 2 and
 |mu0'| = |mu0| + 2, whose ratio A(mu0)(n) / B(mu0')(n+2) is one constant for
 all n, by one comparison of character factors, V(mu0') = T(mu0)
-(``characters.factor``).  Two arguments make it exact:
+(``charsums.factor``).  Two arguments make it exact:
 
 - Unitriangular.  With S = f f~ palindromic of centre c (``charsums``), the
   sequence m -> [x^(m+c)] (1+x)^(2m) S(x) combines m -> C(2m, m+s),
@@ -46,8 +46,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .characters import factor
-from .charsums import InternalConsistencyError, fit_closed_form, sum_A, sum_B
+from .charsums import InternalConsistencyError, factor, fit_closed_form, sum_A, sum_B
 from .partition import (
     Partition,
     check_mu0_n,

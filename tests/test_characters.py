@@ -16,9 +16,8 @@ from charsum.characters import (
     char_ct,
     char_mn,
     char_two_row,
-    factor,
 )
-from charsum.charsums import sum_A, sum_B
+from charsum.charsums import factor, sum_A, sum_B
 from charsum.partition import Partition, enumerate_partitions, make_partition
 from charsum.polyring import IntPoly, binomial_coeff
 

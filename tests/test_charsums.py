@@ -14,6 +14,9 @@ from charsum.charsums import (
     _family,
     _small_poly,
     _times_linear,
+    char_hook_mn,
+    char_two_row_mn,
+    factor,
     sum_A,
     sum_A_bruteforce,
     sum_B,
@@ -28,13 +31,7 @@ from charsum.partition import (
     theorem_form_of,
 )
 from charsum.polyring import IntPoly, binomial_coeff
-from charsum.characters import (
-    char_hook_mn,
-    char_mn,
-    char_two_row,
-    char_two_row_mn,
-    factor,
-)
+from charsum.characters import char_mn, char_two_row
 from test_characters import dense_factor
 
 

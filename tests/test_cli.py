@@ -194,7 +194,7 @@ class TestSumCommand:
         assert lemma_out == brute_out
 
     def test_forced_mismatch_exits_4(self, capsys, monkeypatch):
-        monkeypatch.setattr("charsum.cli.sum_A_bruteforce", lambda mu0, n: 999)
+        monkeypatch.setattr("charsum.charsums.sum_A_bruteforce", lambda mu0, n: 999)
         code, _, err = run(
             capsys, ["sum", "A", "--mu0", "3", "--n", "3", "--mode", "both"]
         )
@@ -581,8 +581,9 @@ def _loaded_modules(code, *argv):
         ["sum", "A", "--mu0", "5,3,2", "--n", "10..12"],
         ["verify", "--mu0", "3", "--n", "3..5", "--format", "csv"],
         ["char", "--lambda", "3,1", "--mu", "2,2"],
+        ["char", "--lambda", "3,1", "--mu", "2,2", "--check-all"],
     ],
-    ids=["sum", "verify", "char"],
+    ids=["sum", "verify", "char", "char-check-all"],
 )
 def test_sum_verify_and_char_load_only_what_they_run(argv):
     exit_code, loaded = _loaded_modules(RUN_CLI_AND_LIST_MODULES, *argv)
@@ -623,6 +624,27 @@ def test_search_and_fit_load_no_rational_arithmetic(argv):
     assert sorted({"fractions", "decimal", "numbers"} & set(loaded)) == []
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["sum", "A", "--mu0", "5,3,2", "--n", "10..12", "--mode", "both"], 0),
+        (["sum", "B", "--mu0", "3,1", "--n", "5", "--mode", "both"], 3),
+        (["verify", "--mu0", "3", "--n", "3..5"], 0),
+        (["verify", "--mu0", "3,1", "--n", "4..5"], 3),
+        (["fit", "--family", "A", "--mu0", "5,3"], 0),
+        (["fit", "--family", "B", "--mu0", "3,1"], 3),
+        (["search", "--K", "8"], 0),
+        (["search", "--K", "1"], 5),
+    ],
+    ids=["sum", "sum-fails", "verify", "verify-fails", "fit", "fit-fails", "search", "search-fails"],
+)
+def test_only_char_loads_characters(argv, code):
+    # T, V and both border-strip rows live in charsums; characters holds the char routes
+    exit_code, loaded = _loaded_modules(RUN_CLI_AND_LIST_MODULES, *argv)
+    assert exit_code == code
+    assert "charsum.characters" not in loaded
+
+
 def test_import_charsum_loads_no_submodule_until_a_name_is_used():
     code = (
         "import sys, charsum\n"
@@ -632,7 +654,7 @@ def test_import_charsum_loads_no_submodule_until_a_name_is_used():
     )
     before, after = _loaded_modules(code)
     assert before == ["charsum"]
-    assert after == ["charsum", "charsum.characters", "charsum.charsums", "charsum.partition", "charsum.polyring"]
+    assert after == ["charsum", "charsum.charsums", "charsum.partition", "charsum.polyring"]
 
 
 def _cli_process(*argv, script=None):

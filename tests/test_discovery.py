@@ -8,11 +8,11 @@ from math import comb, gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from charsum import charsums, discovery
-from charsum.charsums import InternalConsistencyError, sum_A, sum_B, verify_theorem
+from charsum.charsums import InternalConsistencyError, _family, sum_A, sum_B, verify_theorem
 from charsum.cli import main
 from charsum.discovery import (
     SearchError,
@@ -30,6 +30,8 @@ from charsum.partition import (
 from charsum.polyring import horner
 
 HALF = (1, 2)
+# every class with parts >= 2 of weight <= 8, the empty one included
+CLASSES_UP_TO_8 = [p for w in range(9) for p in enumerate_partitions(w, min_part=2)]
 
 # `charsum fit` stdout for the benchmark's fits and the README example,
 # recorded from an exact interpolating fit (sampled values, linear solves),
@@ -179,6 +181,34 @@ class TestSearchPairs:
         mu0, nu = make_partition([4, 2]), make_partition(nu)
         agree = [n for n in range(6, 16) if 2 * sum_A(mu0, n) == sum_B(nu, n + d)]
         assert agree == list(range(7, 15))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        F=st.sampled_from("AB"),
+        mu0=st.sampled_from(CLASSES_UP_TO_8),
+        G=st.sampled_from("AB"),
+        nu=st.sampled_from(CLASSES_UP_TO_8),
+        d=st.integers(-4, 6),
+    )
+    def test_no_other_family_pair_shift_or_class_has_a_constant_ratio(self, F, mu0, G, nu, d):
+        # the argument in ``discovery``: F(mu0)(n) / C(2m, m) is a rational function
+        # of m whose numerator has degree at most top_F = deg f, and a shift by
+        # delta = m_F - m_G costs |delta| more, so a ratio constant on the first
+        # top_F + top_G + |delta| + 1 values of n with both m >= 0 is constant for all n
+        def is_pair(a, b):
+            form = theorem_form_of(a)
+            return form is not None and companion_mu_prime(form) == b
+
+        assume(not (F == G and mu0 == nu and d == 0))
+        assume(not ((F, G, d) == ("A", "B", 2) and is_pair(mu0, nu)))
+        assume(not ((F, G, d) == ("B", "A", -2) and is_pair(nu, mu0)))
+        (h_f, _, small_f), (h_g, _, small_g) = _family(F, mu0), _family(G, nu)
+        delta = h_g - h_f - d
+        n0 = max(h_f, h_g - d)
+        window = range(n0, n0 + len(small_f) // 2 + len(small_g) // 2 + abs(delta) + 1)
+        f, g = {"A": sum_A, "B": sum_B}[F], {"A": sum_A, "B": sum_B}[G]
+        f0, g0 = f(mu0, n0), g(nu, n0 + d)
+        assert any(f(mu0, n) * g0 != g(nu, n + d) * f0 for n in window)
 
     def test_a_ratio_other_than_one_half_is_internal_error(self, capsys, monkeypatch):
         monkeypatch.setattr(discovery, "ratio_test", lambda mu0, mu0p, n_lo, n_hi: (1, 3))

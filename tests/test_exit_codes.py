@@ -2,9 +2,11 @@
 and random argv."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -15,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charsum
-from charsum import charsums, discovery, oeis
+from charsum import charsums, discovery
 from charsum.charsums import InternalConsistencyError
-from charsum.cli import exit_codes, main
+from charsum.cli import main
 
 GOLDENS = json.loads((Path(__file__).parent / "cli_exit_goldens.json").read_text())
 
@@ -31,12 +33,48 @@ def _src_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-def test_table_lists_every_subclass_before_its_base():
-    # discovery and oeis are imported above, so the table lists their classes too
-    classes = [cls for cls, *_ in exit_codes()]
-    assert {discovery.SearchError, oeis.OeisError} <= set(classes)
-    for i, cls in enumerate(classes):
-        assert not any(issubclass(later, cls) for later in classes[i + 1 :]), cls
+# Each exception class of the package and its code in the README exit table.
+README_CODE_OF = {
+    "PartitionFormatError": 2,
+    "UsageError": 2,
+    "RowCapExceeded": 3,
+    "InternalConsistencyError": 4,
+    "SearchError": 5,
+    "OeisError": 7,
+    "OeisNetworkError": 7,
+    "OeisParseError": 7,
+}
+
+
+def test_every_exception_class_resolves_to_its_readme_code(capsys, monkeypatch):
+    # EXIT_CODES is read along the exception's MRO, so a subclass needs no row
+    # of its own and the table's order does not matter
+    classes = {
+        cls
+        for info in pkgutil.iter_modules(charsum.__path__)
+        for cls in vars(importlib.import_module(f"charsum.{info.name}")).values()
+        if isinstance(cls, type)
+        and issubclass(cls, Exception)
+        and not issubclass(cls, Warning)
+        and cls.__module__.startswith("charsum.")
+    }
+    assert sorted(cls.__name__ for cls in classes) == sorted(README_CODE_OF)
+
+    class Unlisted(ValueError):
+        pass
+
+    argv = ["verify", "--mu0", "3", "--n", "3"]
+    for cls, code in [*((c, README_CODE_OF[c.__name__]) for c in classes), (Unlisted, 3)]:
+
+        def fail(*args, cls=cls):
+            raise cls("forced")
+
+        monkeypatch.setattr(charsums, "verify_theorem", fail)
+        assert main(argv) == code, cls
+        assert capsys.readouterr().err == "error: forced\n", cls
+    monkeypatch.setattr(charsums, "verify_theorem", lambda *args: {}["forced"])
+    with pytest.raises(KeyError):
+        main(argv)
 
 
 @pytest.mark.filterwarnings("ignore")
