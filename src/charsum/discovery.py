@@ -2,8 +2,8 @@
 
 ``search_pairs`` lists every pair (mu0, mu0'), all parts >= 2 and
 |mu0'| = |mu0| + 2, whose ratio A(mu0)(n) / B(mu0')(n+2) is one constant for
-all n, by one comparison of character factors, V(mu0') = T(mu0)
-(``charsums.factor``).  Two arguments make it exact:
+all n.  By the two arguments below these are the paper's theorem-form mu0 and
+their companions, each proven by V(mu0') = T(mu0) (``charsums.factor``):
 
 - Unitriangular.  With S = f f~ palindromic of centre c (``charsums``), the
   sequence m -> [x^(m+c)] (1+x)^(2m) S(x) combines m -> C(2m, m+s),
@@ -34,7 +34,7 @@ above apply (for F = G, v(f) gives the class back).  B of the empty class,
 V = 1, has e_1 entry 0 and is apart.  A window alone misleads:
 2A((4,2))(n) = B((9))(n+3) and = B((10))(n+4) hold for n = 7..14 only.
 
-``ratio_test`` cross-checks each pair the join finds on a window of n.
+``ratio_test`` cross-checks each proven pair on a window of n.
 ``fit_closed_form``, which derives and checks the rational function R with
 family(n) = C(2n, n) * R(n), lives in ``charsums`` next to the sums; it stays
 importable from this module because ``perfbench/trace_shim.py`` wraps it here.
@@ -102,12 +102,12 @@ def ratio_test(mu0: Partition, mu0p: Partition, n_lo: int, n_hi: int) -> tuple[i
 def search_pairs(K: int, window: int = DEFAULT_SEARCH_WINDOW) -> list[TheoremPair]:
     """All constant-ratio pairs with |mu0| <= K and |mu0'| = |mu0| + 2.
 
-    For each weight w the mu0' of weight w + 2 (smallest part >= 2) are keyed
-    by V(mu0'), and each mu0 of weight w looks up T(mu0).  Each pair found is
-    cross-checked by ``ratio_test`` over n in [w, w + window]: a ratio other
-    than 1/2, or a mu0' other than mu0's companion, is an
-    InternalConsistencyError.  Output order is deterministic: weight
-    ascending, then the lexicographic-descending enumeration order of mu0.
+    Each theorem-form mu0 of weight w (smallest part >= 2) is paired with its
+    companion mu0', proven by V(mu0') = T(mu0) and cross-checked by
+    ``ratio_test`` over n in [w, w + window]: a failed certificate or a ratio
+    other than 1/2 is an InternalConsistencyError.  Output order is
+    deterministic: weight ascending, then the lexicographic-descending
+    enumeration order of mu0.
     """
     if K < 2:
         raise SearchError("K must be >= 2")
@@ -115,20 +115,18 @@ def search_pairs(K: int, window: int = DEFAULT_SEARCH_WINDOW) -> list[TheoremPai
         raise SearchError(f"window must be >= {MIN_RATIO_WINDOW}")
     pairs = []
     for w in range(K + 1):
-        # V determines mu0' (see above), so no key is shared
-        by_factor = {factor("B", p): p for p in enumerate_partitions(w + 2, min_part=2)}
         for mu0 in enumerate_partitions(w, min_part=2):
-            mu0p = by_factor.get(factor("A", mu0))
-            if mu0p is None:
-                continue
-            ratio = ratio_test(mu0, mu0p, w, w + window)
             form = theorem_form_of(mu0)
-            companion = None if form is None else companion_mu_prime(form)
-            if ratio != (1, 2) or companion != mu0p:
+            if form is None:
+                continue  # no mu0' has V(mu0') = T(mu0) (see above)
+            mu0p = companion_mu_prime(form)
+            if factor("B", mu0p) != factor("A", mu0):
+                raise InternalConsistencyError(f"certificate V({mu0p}) = T({mu0}) fails")
+            ratio = ratio_test(mu0, mu0p, w, w + window)
+            if ratio != (1, 2):
                 raise InternalConsistencyError(
                     f"V({mu0p}) = T({mu0}), but the ratio on [{w}, {w + window}]"
-                    f" is {'%d/%d' % ratio if ratio else None} and the companion is {companion}"
+                    f" is {'%d/%d' % ratio if ratio else None}, not 1/2"
                 )
             pairs.append(TheoremPair(mu0, mu0p, ratio, w, w + window, True))
     return pairs
-

@@ -437,7 +437,7 @@ class TestProofStepIdentities:
     def test_only_the_companion_satisfies_the_identity(self):
         # among nu of weight |mu0| + 2, V(nu) = T(mu0) picks out exactly the
         # companion, and no nu at all when mu0 is not theorem form: the
-        # completeness that lets ``search_pairs`` join on factors
+        # completeness that lets ``search_pairs`` pair only theorem-form mu0
         pairs = 0
         for w in range(29):
             by_factor = {}

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from charsum import charsums, discovery
-from charsum.charsums import InternalConsistencyError, _family, sum_A, sum_B, verify_theorem
+from charsum.charsums import InternalConsistencyError, _family, factor, sum_A, sum_B, verify_theorem
 from charsum.cli import main
 from charsum.discovery import (
     SearchError,
@@ -157,17 +157,21 @@ class TestSearchPairs:
         got = [(p.mu0, p.mu0_prime, p.ratio, p.n_lo) for p in search_pairs(K, window)]
         assert got == expected
 
-    def test_k22_reports_exactly_the_theorem_pairs(self):
-        pairs = search_pairs(22)
+    @pytest.mark.parametrize("K, count", [(22, 191), (30, 673)])
+    def test_reports_exactly_the_pairs_the_factor_join_finds(self, K, count):
+        # the reference is the exhaustive join: every nu of weight w + 2 keyed
+        # by V(nu), looked up by T(mu0), with no theorem form consulted
+        pairs = search_pairs(K)
         assert all(p.ratio == HALF and p.theorem_predicted for p in pairs)
         got = [(p.mu0, p.mu0_prime) for p in pairs]
-        assert got == [
-            (mu0, companion_mu_prime(form))
-            for w in range(23)
-            for mu0 in enumerate_partitions(w, 2)
-            if (form := theorem_form_of(mu0)) is not None
-        ]
-        assert len(got) == 191
+        expected = []
+        for w in range(K + 1):
+            by_factor = {factor("B", nu): nu for nu in enumerate_partitions(w + 2, 2)}
+            for mu0 in enumerate_partitions(w, 2):
+                if (nu := by_factor.get(factor("A", mu0))) is not None:
+                    expected.append((mu0, nu))
+        assert got == expected
+        assert len(got) == count
         # a window of 12 took both for identities: each has a part above it
         assert (make_partition([14]), make_partition([14, 2])) not in got
         assert (make_partition([14, 7]), make_partition([7, 7, 7, 2])) not in got
@@ -216,6 +220,18 @@ class TestSearchPairs:
             search_pairs(4)
         assert main(["search", "--K", "4"]) == 4
         assert "1/3" in capsys.readouterr().err
+
+    def test_a_wrong_companion_factor_is_internal_error(self, capsys, monkeypatch):
+        # a bad V for (3, 2) must fail the certificate, not drop the pair (3; 3,2)
+        def bad_factor(family, parts, power=1):
+            f = factor(family, parts, power)
+            return f + (1,) if (family, parts) == ("B", (3, 2)) else f
+
+        monkeypatch.setattr(discovery, "factor", bad_factor)
+        with pytest.raises(InternalConsistencyError, match="3,2"):
+            search_pairs(5)
+        assert main(["search", "--K", "5"]) == 4
+        assert "3,2" in capsys.readouterr().err
 
 
 class TestFitClosedForm:
