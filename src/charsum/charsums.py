@@ -21,9 +21,10 @@ g~(x) = x^(deg g) g(1/x):
 
 Since (1+x)^e is its own reversal, each norm is one coefficient of
 (1+x)^(2e) * f(x) f~(x).  That small polynomial f f~ = +-f^2 is palindromic
-of degree 2 deg f, built once per (family, mu0) and cached, one class per
-family; ``FAMILIES`` holds each family's divisor.  ``fit_closed_form``
-derives R(n) = family(n) / C(2n, n) by one O(top^2) recurrence on
+of degree 2 deg f.  ``_family``, the one per-class cache, builds it once
+per (family, mu0), one class per family, with h and the family's divisor;
+``_family_sum`` and ``fit_closed_form`` read only it, and the latter derives
+R(n) = family(n) / C(2n, n) by one O(top^2) recurrence on
 coefficient lists.
 
 With m = n - h (see ``_family``) and top = deg f, both small and the row of
@@ -68,11 +69,6 @@ class InternalConsistencyError(RuntimeError):
     """A value violated an identity the math guarantees (implementation bug)."""
 
 
-# family -> divisor: with m = n - h, f the family's factor and small(x) = f(x) f~(x),
-# the family's sum at n is [x^(m + deg f)] (1+x)^(2m) small(x) / divisor.
-FAMILIES = {"A": 2, "B": 1}
-
-
 def factor(family: str, parts: tuple[int, ...], power: int = 1) -> tuple[int, ...]:
     """Coefficients of f^power, f the family's factor: T for "A", V for "B".
 
@@ -100,26 +96,23 @@ def factor(family: str, parts: tuple[int, ...], power: int = 1) -> tuple[int, ..
 
 # Every path sweeps n for at most one class per family: a ``verify`` row or a
 # search pair reads A(mu0) and B(mu0'), ``fit`` and ``sum`` one of them.
-@lru_cache(maxsize=len(FAMILIES))
-def _small_poly(family: str, parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficients of f(x) f~(x), f the character factor of family A or B for mu0.
+@lru_cache(maxsize=2)
+def _family(family: str, mu0: Partition) -> tuple[int, int, tuple[int, ...]]:
+    """(h, divisor, small) for the family at mu0: with m = n - h, the sum at n
+    is [x^(m + deg f)] (1+x)^(2m) small(x) / divisor, small = f(x) f~(x).
 
     Each factor 1 -+ x^a of f reverses to -+(1 -+ x^a), so f~ = -T for A and
     f~ = (-1)^(number of even parts) V for B, and small is that sign times
     ``factor(family, mu0, 2)``.
     """
-    sign = -1 if family == "A" else (-1) ** sum(1 for a in parts if a % 2 == 0)
-    return tuple(sign * c for c in factor(family, parts, 2))
-
-
-def _family(family: str, mu0: Partition) -> tuple[int, int, tuple[int, ...]]:
-    """(h, divisor, small) for the family at mu0, the divisor from ``FAMILIES``."""
-    if family not in FAMILIES:
+    if family == "A":
+        h, divisor, sign = mu0.weight(), 2, -1
+    elif family == "B":
+        # the class 1^n peels one of its 1s (see above)
+        h, divisor, sign = mu0.weight() or 1, 1, (-1) ** sum(1 for a in mu0 if a % 2 == 0)
+    else:
         raise ValueError(f"family must be 'A' or 'B', got {family!r}")
-    h = mu0.weight()
-    if family == "B" and not h:
-        h = 1  # the class 1^n peels one of its 1s (see above)
-    return h, FAMILIES[family], _small_poly(family, mu0)
+    return h, divisor, tuple(sign * c for c in factor(family, mu0, 2))
 
 
 def _family_sum(family: str, mu0: Partition, n: int) -> int:

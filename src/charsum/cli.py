@@ -208,8 +208,6 @@ def _ratio(p: int, q: int) -> str:
 
 
 def cmd_search(args) -> int:
-    import json
-
     from .discovery import DEFAULT_SEARCH_WINDOW, search_pairs
 
     window = DEFAULT_SEARCH_WINDOW if args.window is None else args.window
@@ -221,13 +219,11 @@ def cmd_search(args) -> int:
             "evidence_n": [pair.n_lo, pair.n_hi],
             "theorem_predicted": pair.theorem_predicted,
         }
-        print(json.dumps(record))
+        _emit("json", record, ())
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
-    import json
-
     from .charsums import fit_closed_form
 
     mu0 = parse_partition(args.mu0)
@@ -240,7 +236,7 @@ def cmd_fit(args) -> int:
         "numerator": [_ratio(c, den[-1]) for c in num],
         "denominator": [_ratio(c, den[-1]) for c in den],
     }
-    print(json.dumps(record))
+    _emit("json", record, ())
     return EXIT_OK
 
 

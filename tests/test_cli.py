@@ -610,7 +610,7 @@ def test_a_failing_sum_verify_or_char_loads_only_what_it_runs(argv):
 def test_a_failing_fit_loads_neither_discovery_nor_oeis():
     exit_code, loaded = _loaded_modules(RUN_CLI_AND_LIST_MODULES, "fit", "--family", "A", "--mu0", "3,1")
     assert exit_code == 3
-    assert sorted({"charsum.discovery", "charsum.oeis"} & set(loaded)) == []
+    assert sorted({"charsum.discovery", "charsum.oeis", "json"} & set(loaded)) == []
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ exit code, its stderr text and the SHA-256 and byte length of its stdout.
 
 Each argv runs in-process through ``cli.main``; then the whole corpus runs
 again in reverse order in the same process, so no output may depend on the
-state that ``polyring._central`` and ``charsums._small_poly`` keep between
+state that ``polyring._central`` and ``charsums._family`` keep between
 calls.  An entry whose ``stderr`` is null is an argparse error: argparse
 words those differently from one Python version to the next, so only the
 exit code and the (empty) stdout are pinned.  ``{cache}`` in an argv is an

@@ -104,16 +104,6 @@ class TestSearchPairs:
         assert ("5", "5,2") in found
         assert all(p.ratio == HALF and p.theorem_predicted for p in pairs)
 
-    def test_completeness_for_small_weights(self):
-        pairs = search_pairs(6, 12)
-        found = {(p.mu0, p.mu0_prime) for p in pairs}
-        for w in range(7):
-            for mu0 in enumerate_partitions(w, 2):
-                form = theorem_form_of(mu0)
-                if form is None:
-                    continue
-                assert (mu0, companion_mu_prime(form)) in found, mu0
-
     def test_deterministic(self):
         assert search_pairs(4, 8) == search_pairs(4, 8)
 
@@ -127,9 +117,9 @@ class TestSearchPairs:
 
     def test_builds_each_small_poly_once(self):
         # a pair reads A(mu0) and B(mu0') on its window; no class comes back
-        charsums._small_poly.cache_clear()
+        charsums._family.cache_clear()
         assert len(search_pairs(14, 12)) == 44
-        assert charsums._small_poly.cache_info().misses == 88
+        assert charsums._family.cache_info().misses == 88
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="K"):
