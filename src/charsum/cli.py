@@ -11,7 +11,8 @@ Exit codes:
   1    verify ran and the identity failed for some n
   2    usage errors: unknown flags, malformed partitions/ranges/value lists
   3    domain preconditions: weight mismatch, n below |mu0|, a part equal to 1,
-       not theorem form, j out of range, row cap exceeded, too few OEIS terms
+       not theorem form, j out of range, row cap exceeded, too few OEIS terms,
+       an n too large for an exact binomial coefficient
   4    internal cross-check mismatch (sum --mode both, char --check-all,
        or a value breaking an identity the maths guarantees, in any command)
   5    search parameters out of range (K < 2, window < 4)
@@ -65,6 +66,7 @@ EXIT_CODES = {
     "SearchError": EXIT_SEARCH,
     "OeisError": EXIT_NETWORK,
     "ValueError": EXIT_PRECONDITION,
+    "OverflowError": EXIT_PRECONDITION,
 }
 
 # ``char``'s routes, each by the name of its function in ``characters``, looked

@@ -521,11 +521,6 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_missing_required_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sum", "A", "--n", "3"])
-        assert exc.value.code == 2
-
 
 def test_import_loads_neither_http_nor_process_pool():
     code = (

@@ -1,13 +1,25 @@
-"""Byte-identity corpus: every argv in ``cli_output_digests.json`` keeps its
-exit code, its stderr text and the SHA-256 and byte length of its stdout.
+"""Byte-identity corpus: the one place that pins CLI outputs.  Every argv in
+``cli_output_digests.json`` keeps its exit code, its stderr and its stdout.
+
+An entry has one of two stderr fields and one of two stdout shapes:
+
+- ``stderr`` is the whole stderr text; ``stderr_last`` is its last line only,
+  kept for an argparse error, whose usage line wraps with the terminal width.
+- ``stdout`` is the whole stdout text, for stdout of at most
+  ``STDOUT_TEXT_MAX`` bytes; longer stdout is kept as ``stdout_sha256`` and
+  ``stdout_bytes``, its SHA-256 and byte length.
 
 Each argv runs in-process through ``cli.main``; then the whole corpus runs
 again in reverse order in the same process, so no output may depend on the
 state that ``polyring._central`` and ``charsums._family`` keep between
-calls.  An entry whose ``stderr`` is null is an argparse error: argparse
-words those differently from one Python version to the next, so only the
-exit code and the (empty) stdout are pinned.  ``{cache}`` in an argv is an
-OEIS cache directory seeded with ``OEIS_FIXTURES``.
+calls.  ``{cache}`` in an argv is an OEIS cache directory seeded with
+``OEIS_FIXTURES``.
+
+The stdout of ``fit --family A --mu0 ''`` and of ``fit --family A|B --mu0 M``
+for M in 5,5,3, 5,5,5, 7,3,3, 7,5,3 and 9,3,3 (eleven runs) was first
+recorded from an exact interpolating fit (sampled values, linear solves), a
+route to the same reduced closed form that is independent of
+``discovery.fit_closed_form``.
 
 A change that alters outputs on purpose rewrites only the entries of the
 argvs it names, each one shell-quoted string (an argv not in the corpus is
@@ -27,12 +39,16 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
+
 from charsum import polyring
 from charsum.cli import main
 from charsum.oeis import OeisClient
 
 CORPUS_FILE = Path(__file__).parent / "cli_output_digests.json"
 CORPUS = json.loads(CORPUS_FILE.read_text())
+# stdout of at most this many bytes is kept as text, longer stdout as its digest
+STDOUT_TEXT_MAX = 1024
 
 OEIS_FIXTURES = {
     "1,2,6,20,70,252": json.dumps(
@@ -74,14 +90,20 @@ def record(argv: list[str], cache: str) -> dict:
             code, argparse_error = main([a.replace("{cache}", cache) for a in argv]), False
         except SystemExit as exc:
             code, argparse_error = exc.code, True
-    stdout = out.getvalue().encode()
-    return {
-        "argv": argv,
-        "exit": code,
-        "stderr": None if argparse_error else err.getvalue().replace(cache, "{cache}"),
-        "stdout_sha256": hashlib.sha256(stdout).hexdigest(),
-        "stdout_bytes": len(stdout),
-    }
+    entry = {"argv": argv, "exit": code}
+    stderr = err.getvalue().replace(cache, "{cache}")
+    if argparse_error:
+        # argparse's usage line wraps with the terminal width; its last line does not
+        entry["stderr_last"] = stderr.splitlines()[-1]
+    else:
+        entry["stderr"] = stderr
+    stdout = out.getvalue()
+    data = stdout.encode()
+    if len(data) <= STDOUT_TEXT_MAX:
+        entry["stdout"] = stdout
+    else:
+        entry |= {"stdout_sha256": hashlib.sha256(data).hexdigest(), "stdout_bytes": len(data)}
+    return entry
 
 
 def mismatches(entries, cache: str) -> list[list[str]]:
@@ -98,11 +120,25 @@ def test_every_output_is_pinned_in_both_orders(tmp_path):
 def test_the_corpus_holds_each_argv_once():
     argvs = [tuple(entry["argv"]) for entry in CORPUS]
     assert len(argvs) == len(set(argvs))
+    for entry in CORPUS:
+        stderr_fields = {"stderr", "stderr_last"} & set(entry)
+        stdout_fields = set(entry) - stderr_fields - {"argv", "exit"}
+        size = len(entry["stdout"].encode()) if "stdout" in entry else entry["stdout_bytes"]
+        assert len(stderr_fields) == 1, entry["argv"]
+        text = size <= STDOUT_TEXT_MAX
+        assert stdout_fields == ({"stdout"} if text else {"stdout_sha256", "stdout_bytes"}), entry["argv"]
 
 
 def test_a_tampered_digest_fails(tmp_path):
-    entry = next(e for e in CORPUS if e["stdout_bytes"])
+    entry = next(e for e in CORPUS if "stdout_sha256" in e)
     tampered = {**entry, "stdout_sha256": hashlib.sha256(b"tampered").hexdigest()}
+    assert mismatches([tampered], seed_cache(tmp_path)) == [entry["argv"]]
+
+
+@pytest.mark.parametrize("field", ["stdout", "stderr", "stderr_last"])
+def test_a_tampered_field_fails(tmp_path, field):
+    entry = next(e for e in CORPUS if e.get(field))
+    tampered = {**entry, field: "tampered"}
     assert mismatches([tampered], seed_cache(tmp_path)) == [entry["argv"]]
 
 

@@ -33,10 +33,11 @@ HALF = (1, 2)
 # every class with parts >= 2 of weight <= 8, the empty one included
 CLASSES_UP_TO_8 = [p for w in range(9) for p in enumerate_partitions(w, min_part=2)]
 
-# `charsum fit` stdout for the benchmark's fits and the README example,
-# recorded from an exact interpolating fit (sampled values, linear solves),
-# an independent route to the same reduced R.
-FIT_GOLDENS = json.loads((Path(__file__).parent / "fit_goldens.json").read_text())
+# `charsum fit` runs for the benchmark's fits and the README example, whose
+# stdout the CLI corpus holds as text (its provenance is in test_cli_digests)
+FIT_PINNED = [("A", "")] + [(f, m) for m in ("5,5,3", "5,5,5", "7,3,3", "7,5,3", "9,3,3") for f in "AB"]
+CORPUS_FILE = Path(__file__).parent / "cli_output_digests.json"
+CORPUS = {tuple(e["argv"]): e for e in json.loads(CORPUS_FILE.read_text())}
 
 
 def holds(fit, value, n):
@@ -274,12 +275,11 @@ class TestFitClosedForm:
             fit_closed_form(make_partition(parts), "A")
         assert main(["fit", "--family", "A", "--mu0", ",".join(map(str, parts))]) == 3
 
-    @pytest.mark.parametrize(
-        "family, mu0_text, stdout", FIT_GOLDENS, ids=[f"{f}-{m or 'empty'}" for f, m, _ in FIT_GOLDENS]
-    )
-    def test_cli_output_pinned(self, capsys, family, mu0_text, stdout):
-        assert main(["fit", "--family", family, "--mu0", mu0_text]) == 0
-        assert capsys.readouterr().out == stdout
+    @pytest.mark.parametrize("family, mu0_text", FIT_PINNED, ids=[f"{f}-{m or 'empty'}" for f, m in FIT_PINNED])
+    def test_cli_output_pinned(self, capsys, family, mu0_text):
+        entry = CORPUS["fit", "--family", family, "--mu0", mu0_text]
+        assert main(entry["argv"]) == entry["exit"] == 0
+        assert capsys.readouterr().out == entry["stdout"]
 
     @settings(max_examples=60, deadline=None)
     @given(mu0=partitions_min_two(10), family=st.sampled_from("AB"), data=st.data())
