@@ -12,7 +12,7 @@ Exit codes:
   2    usage errors: unknown flags, malformed partitions/ranges/value lists
   3    domain preconditions: weight mismatch, n below |mu0|, a part equal to 1,
        not theorem form, j out of range, row cap exceeded, too few OEIS terms,
-       an n too large for an exact binomial coefficient
+       an --n above sys.maxsize, a part too large to index a list
   4    internal cross-check mismatch (sum --mode both, char --check-all,
        or a value breaking an identity the maths guarantees, in any command)
   5    search parameters out of range (K < 2, window < 4)
@@ -66,6 +66,7 @@ EXIT_CODES = {
     "SearchError": EXIT_SEARCH,
     "OeisError": EXIT_NETWORK,
     "ValueError": EXIT_PRECONDITION,
+    # a part too large to index a list (fit --mu0, char --method tworow)
     "OverflowError": EXIT_PRECONDITION,
 }
 
@@ -87,6 +88,10 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise UsageError(f"bad n range: {exc}") from None
     if lo > hi:
         raise UsageError(f"bad n range: empty range {text!r}")
+    # the binomial coefficients take no index above sys.maxsize (math.comb's
+    # bound), and a sweep could not reach one
+    if hi > sys.maxsize:
+        raise ValueError(f"--n {text}: n may not exceed {sys.maxsize}")
     return lo, hi
 
 

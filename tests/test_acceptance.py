@@ -4,17 +4,16 @@ Each test prints one PASS line on success; a failed assertion leaves the
 line unprinted and pytest reports the failure.
 """
 
-import json
 import random
 from math import comb
 
-import pytest
+from conftest import PINNED
+from test_cli_digests import seed_cache
 
 from charsum.characters import char_ct, char_mn, char_two_row
 from charsum.charsums import sum_A, sum_A_bruteforce, sum_B, sum_B_bruteforce
 from charsum.cli import main
 from charsum.discovery import fit_closed_form, search_pairs
-from charsum.oeis import OeisClient
 from charsum.partition import (
     Partition,
     companion_mu_prime,
@@ -184,63 +183,26 @@ def test_criterion_8_closed_form_structure():
     report(8, f"closed forms fit and validate for {len(shapes)} shapes")
 
 
-GOLDEN_CLI_CASES = [
-    (["char", "--lambda", "2,1", "--mu", "3"], "-1\n"),
-    (
-        ["sum", "B", "--mu0", "3,2", "--n", "5..8", "--format", "csv"],
-        "n,value\n5,4\n6,4\n7,6\n8,12\n",
-    ),
-    (
-        ["verify", "--mu0", "3", "--n", "3..8", "--format", "json"],
-        '{"mu0": "3", "mu0_prime": "3,2", "rows": '
-        '[{"n": 3, "A": "2", "B": "4", "holds": true}, '
-        '{"n": 4, "A": "2", "B": "4", "holds": true}, '
-        '{"n": 5, "A": "3", "B": "6", "holds": true}, '
-        '{"n": 6, "A": "6", "B": "12", "holds": true}, '
-        '{"n": 7, "A": "15", "B": "30", "holds": true}, '
-        '{"n": 8, "A": "44", "B": "88", "holds": true}], "all_hold": true}\n',
-    ),
-    (
-        ["search", "--K", "2", "--window", "6"],
-        '{"mu0": "", "mu0_prime": "2", "ratio": "1/2", '
-        '"evidence_n": [0, 6], "theorem_predicted": true}\n'
-        '{"mu0": "2", "mu0_prime": "4", "ratio": "1/2", '
-        '"evidence_n": [2, 8], "theorem_predicted": true}\n',
-    ),
-    (
-        ["fit", "--family", "A", "--mu0", ""],
-        '{"family": "A", "mu0": "", "n_lo": 0, '
-        '"numerator": ["1/1"], "denominator": ["1/1", "1/1"]}\n',
-    ),
+# one run of each subcommand; cli_output_digests.json holds each stdout
+GOLDEN_CLI_ARGVS = [
+    ["char", "--lambda", "2,1", "--mu", "3"],
+    ["sum", "B", "--mu0", "3,2", "--n", "5..8", "--format", "csv"],
+    ["verify", "--mu0", "3", "--n", "3..8", "--format", "json"],
+    ["search", "--K", "2", "--window", "6"],
+    ["fit", "--family", "A", "--mu0", ""],
 ]
-
-OEIS_FIXTURE = json.dumps(
-    {
-        "count": 1,
-        "results": [
-            {
-                "number": 984,
-                "data": "1,2,6,20,70,252,924,3432",
-                "name": "Central binomial coefficients: binomial(2*n,n) = (2*n)!/(n!)^2.",
-            }
-        ],
-    }
-)
 
 
 def test_criterion_9_cli_goldens(capsys, tmp_path, monkeypatch):
     # no --live flag anywhere: any network attempt raises instead of fetching
-    for argv, expected in GOLDEN_CLI_CASES:
+    for argv in GOLDEN_CLI_ARGVS:
         for _ in range(2):  # byte-identical across repeated invocations
             assert main(argv) == 0
-            assert capsys.readouterr().out == expected, argv
-    monkeypatch.setenv("CHARSUM_OEIS_CACHE", str(tmp_path))
-    OeisClient(cache_dir=tmp_path).seed_cache("1,2,6,20,70,252", OEIS_FIXTURE)
+            assert capsys.readouterr().out == PINNED[tuple(argv)]["stdout"], argv
+    # the cache the corpus runs read, named by the environment instead of --cache-dir
+    monkeypatch.setenv("CHARSUM_OEIS_CACHE", seed_cache(tmp_path))
+    expected = PINNED["oeis", "1,2,6,20,70,252", "--cache-dir", "{cache}"]["stdout"]
     for _ in range(2):
         assert main(["oeis", "1,2,6,20,70,252"]) == 0
-        out = capsys.readouterr().out
-        assert out == (
-            "A000984 Central binomial coefficients: "
-            "binomial(2*n,n) = (2*n)!/(n!)^2.\n"
-        )
+        assert capsys.readouterr().out == expected
     report(9, "six subcommands byte-identical, OEIS fixture-only")

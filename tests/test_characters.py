@@ -6,6 +6,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 import pytest
+from conftest import padded
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,11 +110,6 @@ class TestCharMn:
             ones = make_partition([1] * n)
             for lam in enumerate_partitions(n):
                 assert char_mn(lam, ones) == syt(lam.parts), lam
-
-
-def padded(mu0, n):
-    """The class mu0 padded with 1s up to weight n."""
-    return Partition(mu0 + (1,) * (n - mu0.weight()))
 
 
 def _partitions_of(n, max_len=None):
@@ -320,22 +316,3 @@ class TestCharTwoRow:
             char_two_row(2, 4, make_partition([2]))
         with pytest.raises(ValueError, match="j must be"):
             char_two_row(2, -1, make_partition([2]))
-
-
-class TestCrossValidation:
-    def test_ct_agrees_with_mn_small(self):
-        for n in range(7):
-            for lam in enumerate_partitions(n):
-                if len(lam) > 3:
-                    continue
-                for mu in enumerate_partitions(n):
-                    assert char_ct(lam, mu) == char_mn(lam, mu), (lam, mu)
-
-    def test_two_row_agrees_with_mn_small(self):
-        for w in range(6):
-            for mu0 in enumerate_partitions(w, 2):
-                for n in range(w, 10):
-                    cls = padded(mu0, n)
-                    for j in range(n // 2 + 1):
-                        lam = make_partition([p for p in (n - j, j) if p > 0])
-                        assert char_two_row(n, j, mu0) == char_mn(lam, cls)

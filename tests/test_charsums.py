@@ -3,6 +3,7 @@
 from math import comb, gcd
 
 import pytest
+from conftest import padded
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -96,11 +97,6 @@ class TestSumB:
     def test_n_below_weight_rejected(self):
         with pytest.raises(ValueError, match="below"):
             sum_B(make_partition([3, 2]), 4)
-
-
-def padded(mu0, n):
-    """The class mu0 padded with 1s up to weight n."""
-    return Partition(mu0 + (1,) * (n - mu0.weight()))
 
 
 def hooks_one_at_a_time(mu0, n):
@@ -199,14 +195,6 @@ class TestSteppedHookOracle:
 
 
 class TestLemmaVsDefinition:
-    def test_equivalence_sweep(self):
-        # moderate scale here; the acceptance suite runs the full ranges
-        for w in range(7):
-            for mu0 in enumerate_partitions(w, 2):
-                for n in range(w, 13):
-                    assert sum_A(mu0, n) == sum_A_bruteforce(mu0, n), (mu0, n)
-                    assert sum_B(mu0, n) == sum_B_bruteforce(mu0, n), (mu0, n)
-
     def test_at_the_benchmark_sizes(self):
         # the largest n of the benchmark's oracle windows; the hook factor is
         # otherwise only checked against char_mn up to weight 14

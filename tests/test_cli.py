@@ -1,4 +1,7 @@
-"""CLI: golden outputs, exit codes, and schema-valid JSON."""
+"""CLI behaviour that an argv and its pinned output cannot show: runs against a
+monkeypatched library, runs in their own process (warnings, deep classes,
+module-load budgets), drawn inputs, and the README's claims.  What a plain
+run prints is pinned in ``cli_output_digests.json`` (see test_cli_digests)."""
 
 import ast
 import contextlib
@@ -6,20 +9,17 @@ import importlib.util
 import io
 import json
 import math
-import os
 import re
 import shlex
 import subprocess
 import sys
-from importlib.resources import files
 from pathlib import Path
 
-import jsonschema
 import pytest
+from conftest import src_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import charsum
 from charsum import characters, charsums, oeis
 from charsum.cli import build_parser, main
 from charsum.oeis import OeisClient, UnparsableCacheWarning
@@ -50,10 +50,6 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
-def load_schema(name):
-    return json.loads(files("charsum").joinpath("schemas", name).read_text())
-
-
 @pytest.fixture
 def oeis_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("CHARSUM_OEIS_CACHE", str(tmp_path))
@@ -64,42 +60,6 @@ def oeis_cache(tmp_path, monkeypatch):
 
 
 class TestCharCommand:
-    def test_plain_golden(self, capsys):
-        code, out, _ = run(capsys, ["char", "--lambda", "2,1", "--mu", "3"])
-        assert (code, out) == (0, "-1\n")
-
-    def test_trivial_character(self, capsys):
-        code, out, _ = run(capsys, ["char", "--lambda", "4", "--mu", "2,2"])
-        assert (code, out) == (0, "1\n")
-
-    def test_weight_mismatch_exits_3(self, capsys):
-        code, _, err = run(capsys, ["char", "--lambda", "2,1", "--mu", "4"])
-        assert code == 3
-        assert "weight mismatch" in err
-
-    def test_json_golden_and_schema(self, capsys):
-        code, out, _ = run(
-            capsys, ["char", "--lambda", "3,1", "--mu", "2,2", "--format", "json"]
-        )
-        assert code == 0
-        assert out == '{"lambda": "3,1", "mu": "2,2", "method": "mn", "value": "-1"}\n'
-        jsonschema.validate(json.loads(out), load_schema("char_result.v1.json"))
-
-    def test_check_all_agreement(self, capsys):
-        code, out, _ = run(
-            capsys, ["char", "--lambda", "3,1", "--mu", "2,2", "--check-all"]
-        )
-        assert code == 0
-        assert out == "mn -1\nct -1\ntworow -1\n"
-
-    def test_check_all_json_schema(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["char", "--lambda", "3,1", "--mu", "2,2", "--check-all", "--format", "json"],
-        )
-        assert code == 0
-        jsonschema.validate(json.loads(out), load_schema("char_result.v1.json"))
-
     def test_check_all_disagreement_exits_4(self, capsys, monkeypatch):
         monkeypatch.setattr(characters, "char_ct", lambda lam, mu: 999)
         code, out, _ = run(
@@ -115,84 +75,8 @@ class TestCharCommand:
         )
         assert (code, out, err) == (0, "mn 0\n", "")
 
-    @pytest.mark.parametrize(
-        "lam, mu, methods",
-        [("2,1,1", "2,2", ["mn", "ct"]), ("2,1,1,1,1", "3,3", ["mn"])],
-    )
-    def test_check_all_skips_the_routes_the_shape_exceeds(self, capsys, lam, mu, methods):
-        argv = ["char", "--lambda", lam, "--mu", mu, "--check-all"]
-        code, out, _ = run(capsys, argv)
-        assert code == 0
-        assert [line.split()[0] for line in out.splitlines()] == methods
-        code, out, _ = run(capsys, argv + ["--format", "json"])
-        assert code == 0
-        assert list(json.loads(out)["values"]) == methods
-
-    def test_methods_select(self, capsys):
-        for method in ["mn", "ct", "tworow"]:
-            code, out, _ = run(
-                capsys, ["char", "--lambda", "3,1", "--mu", "2,2", "--method", method]
-            )
-            assert (code, out) == (0, "-1\n"), method
-
-    def test_row_cap_exit_3(self, capsys):
-        code, _, err = run(
-            capsys, ["char", "--lambda", "2,1,1,1,1", "--mu", "6", "--method", "ct"]
-        )
-        assert code == 3
-        assert "char_mn" in err
-
-    def test_parse_error_exits_2(self, capsys):
-        code, _, err = run(capsys, ["char", "--lambda", "2,x", "--mu", "3"])
-        assert code == 2
-        assert "not an integer" in err
-
 
 class TestSumCommand:
-    def test_single_n_golden(self, capsys):
-        code, out, _ = run(capsys, ["sum", "A", "--mu0", "3", "--n", "3"])
-        assert (code, out) == (0, "2\n")
-
-    def test_hook_single_golden(self, capsys):
-        code, out, _ = run(capsys, ["sum", "B", "--mu0", "3,2", "--n", "5"])
-        assert (code, out) == (0, "4\n")
-
-    def test_n_below_weight_exits_3(self, capsys):
-        code, _, err = run(capsys, ["sum", "A", "--mu0", "3", "--n", "2"])
-        assert code == 3
-        assert "below" in err
-
-    def test_range_plain(self, capsys):
-        code, out, _ = run(capsys, ["sum", "A", "--mu0", "2", "--n", "2..4"])
-        assert (code, out) == (0, "2 2\n3 1\n4 2\n")
-
-    def test_csv_golden(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["sum", "A", "--mu0", "2", "--n", "2..6", "--mode", "both", "--format", "csv"],
-        )
-        assert code == 0
-        assert out == "n,value\n2,2\n3,1\n4,2\n5,6\n6,20\n"
-
-    def test_json_golden_and_schema(self, capsys):
-        code, out, _ = run(
-            capsys, ["sum", "B", "--mu0", "", "--n", "1..4", "--format", "json"]
-        )
-        assert code == 0
-        assert out == (
-            '{"family": "B", "mu0": "", "mode": "lemma", "rows": '
-            '[{"n": 1, "value": "1"}, {"n": 2, "value": "2"}, '
-            '{"n": 3, "value": "6"}, {"n": 4, "value": "20"}]}\n'
-        )
-        jsonschema.validate(json.loads(out), load_schema("sum_report.v1.json"))
-
-    def test_brute_mode_matches_lemma(self, capsys):
-        _, lemma_out, _ = run(capsys, ["sum", "B", "--mu0", "3", "--n", "3..8"])
-        _, brute_out, _ = run(
-            capsys, ["sum", "B", "--mu0", "3", "--n", "3..8", "--mode", "brute"]
-        )
-        assert lemma_out == brute_out
-
     def test_forced_mismatch_exits_4(self, capsys, monkeypatch):
         monkeypatch.setattr("charsum.charsums.sum_A_bruteforce", lambda mu0, n: 999)
         code, _, err = run(
@@ -201,49 +85,8 @@ class TestSumCommand:
         assert code == 4
         assert err == "error: lemma/brute mismatch at n=3: 2 vs 999\n"
 
-    def test_bad_range_exits_2(self, capsys):
-        code, _, err = run(capsys, ["sum", "A", "--mu0", "3", "--n", "9..3"])
-        assert code == 2
-        assert "range" in err
-
 
 class TestVerifyCommand:
-    def test_plain_golden(self, capsys):
-        code, out, _ = run(capsys, ["verify", "--mu0", "3", "--n", "3..8"])
-        assert code == 0
-        assert out == (
-            "mu0=3 mu0_prime=3,2\n"
-            "n=3 A=2 B=4 holds=yes\n"
-            "n=4 A=2 B=4 holds=yes\n"
-            "n=5 A=3 B=6 holds=yes\n"
-            "n=6 A=6 B=12 holds=yes\n"
-            "n=7 A=15 B=30 holds=yes\n"
-            "n=8 A=44 B=88 holds=yes\n"
-            "all_hold=yes\n"
-        )
-
-    def test_json_golden_and_schema(self, capsys):
-        code, out, _ = run(
-            capsys, ["verify", "--mu0", "5,4,3,2", "--n", "14..16", "--format", "json"]
-        )
-        assert code == 0
-        assert out == (
-            '{"mu0": "5,4,3,2", "mu0_prime": "8,5,3", "rows": '
-            '[{"n": 14, "A": "6", "B": "12", "holds": true}, '
-            '{"n": 15, "A": "3", "B": "6", "holds": true}, '
-            '{"n": 16, "A": "6", "B": "12", "holds": true}], "all_hold": true}\n'
-        )
-        jsonschema.validate(json.loads(out), load_schema("verify_report.v1.json"))
-
-    def test_json_golden_for_the_smallest_pair(self, capsys):
-        code, out, _ = run(capsys, ["verify", "--mu0", "3", "--n", "3..4", "--format", "json"])
-        assert code == 0
-        assert out == (
-            '{"mu0": "3", "mu0_prime": "3,2", "rows": '
-            '[{"n": 3, "A": "2", "B": "4", "holds": true}, '
-            '{"n": 4, "A": "2", "B": "4", "holds": true}], "all_hold": true}\n'
-        )
-
     @settings(max_examples=40, deadline=None)
     @given(
         mu0=st.sampled_from(
@@ -273,13 +116,6 @@ class TestVerifyCommand:
         assert len(rows) == length and plain == csv == rows
         assert outs["plain"].endswith("all_hold=yes\n") and report["all_hold"] is True
 
-    def test_csv_golden(self, capsys):
-        code, out, _ = run(
-            capsys, ["verify", "--mu0", "3", "--n", "3..5", "--format", "csv"]
-        )
-        assert code == 0
-        assert out == "n,A,B,holds\n3,2,4,true\n4,2,4,true\n5,3,6,true\n"
-
     @pytest.mark.parametrize(
         "fmt, expected",
         [
@@ -308,16 +144,6 @@ class TestVerifyCommand:
         code, out, err = run(capsys, ["verify", "--mu0", "3", "--n", "3..5", "--format", fmt])
         assert (code, out, err) == (1, expected, "")
 
-    def test_single_n_allowed(self, capsys):
-        code, out, _ = run(capsys, ["verify", "--mu0", "3", "--n", "3"])
-        assert code == 0
-        assert "n=3 A=2 B=4 holds=yes" in out
-
-    def test_non_theorem_form_exits_3(self, capsys):
-        code, _, err = run(capsys, ["verify", "--mu0", "3,2,2", "--n", "7..12"])
-        assert code == 3
-        assert "duplicate even part" in err
-
     def test_integers_past_the_str_digit_limit(self, capsys):
         # A(3)(7200) has more than 4300 digits, CPython's default int->str limit
         code, out, _ = run(capsys, ["verify", "--mu0", "3", "--n", "7200..7201", "--format", "csv"])
@@ -335,40 +161,8 @@ class TestVerifyCommand:
             sys.set_int_max_str_digits(saved)
         assert sys.get_int_max_str_digits() == saved  # main restored it too
 
-    def test_deterministic_byte_identical(self, capsys):
-        _, first, _ = run(capsys, ["verify", "--mu0", "3", "--n", "3..6", "--format", "json"])
-        _, second, _ = run(capsys, ["verify", "--mu0", "3", "--n", "3..6", "--format", "json"])
-        assert first == second
-
 
 class TestSearchCommand:
-    def test_json_lines_golden(self, capsys):
-        code, out, _ = run(capsys, ["search", "--K", "2", "--window", "6"])
-        assert code == 0
-        assert out == (
-            '{"mu0": "", "mu0_prime": "2", "ratio": "1/2", '
-            '"evidence_n": [0, 6], "theorem_predicted": true}\n'
-            '{"mu0": "2", "mu0_prime": "4", "ratio": "1/2", '
-            '"evidence_n": [2, 8], "theorem_predicted": true}\n'
-        )
-
-    def test_lines_validate_schema(self, capsys):
-        _, out, _ = run(capsys, ["search", "--K", "4", "--window", "8"])
-        schema = load_schema("theorem_pair.v1.json")
-        lines = out.strip().splitlines()
-        assert lines
-        for line in lines:
-            jsonschema.validate(json.loads(line), schema)
-
-    def test_invalid_k_exits_5(self, capsys):
-        code, _, err = run(capsys, ["search", "--K", "1", "--window", "8"])
-        assert code == 5
-        assert "K" in err
-
-    def test_invalid_window_exits_5(self, capsys):
-        code, _, _ = run(capsys, ["search", "--K", "4", "--window", "2"])
-        assert code == 5
-
     @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
     def test_bad_jobs_is_a_usage_error(self, capsys, jobs):
         # search runs in one process: --jobs is not an option, whatever its value
@@ -376,17 +170,6 @@ class TestSearchCommand:
             main(["search", "--K", "2", "--jobs", jobs])
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
-
-
-class TestFitCommand:
-    def test_json_golden_and_schema(self, capsys):
-        code, out, _ = run(capsys, ["fit", "--family", "A", "--mu0", ""])
-        assert code == 0
-        assert out == (
-            '{"family": "A", "mu0": "", "n_lo": 0, '
-            '"numerator": ["1/1"], "denominator": ["1/1", "1/1"]}\n'
-        )
-        jsonschema.validate(json.loads(out), load_schema("fit_result.v1.json"))
 
 
 # (reply, the parse problem it names)
@@ -401,54 +184,6 @@ MALFORMED_RESPONSES = [
 
 
 class TestOeisCommand:
-    def test_plain_golden_from_fixture(self, capsys, oeis_cache):
-        code, out, _ = run(capsys, ["oeis", "1,2,6,20,70,252"])
-        assert code == 0
-        assert out == (
-            "A000984 Central binomial coefficients: binomial(2*n,n) = (2*n)!/(n!)^2.\n"
-            "A001700 a(n) = binomial(2n-2, n-1).\n"
-        )
-
-    def test_json_schema(self, capsys, oeis_cache):
-        code, out, _ = run(capsys, ["oeis", "1,2,6,20,70,252", "--format", "json"])
-        assert code == 0
-        assert out == (
-            '{"query": "1,2,6,20,70,252", "matches": ['
-            '{"sequence_id": "A000984", "name": "Central binomial coefficients: '
-            'binomial(2*n,n) = (2*n)!/(n!)^2.", "matched_offset": 0, "match_length": 6}, '
-            '{"sequence_id": "A001700", "name": "a(n) = binomial(2n-2, n-1).", '
-            '"matched_offset": 1, "match_length": 6}]}\n'
-        )
-        jsonschema.validate(json.loads(out), load_schema("oeis_result.v1.json"))
-
-    @pytest.mark.parametrize(
-        "fmt, expected", [("plain", ""), ("json", '{"query": "1,1,1,1,1,7", "matches": []}\n')]
-    )
-    def test_no_matches(self, capsys, oeis_cache, fmt, expected):
-        OeisClient(cache_dir=oeis_cache).seed_cache("1,1,1,1,1,7", json.dumps({"results": []}))
-        code, out, err = run(capsys, ["oeis", "1,1,1,1,1,7", "--format", fmt])
-        assert (code, out, err) == (0, expected, "")
-
-    def test_cache_dir_flag_overrides(self, capsys, tmp_path):
-        OeisClient(cache_dir=tmp_path).seed_cache(
-            "1,2,6,20,70,252", CENTRAL_BINOMIAL_RESPONSE
-        )
-        code, out, _ = run(
-            capsys, ["oeis", "1,2,6,20,70,252", "--cache-dir", str(tmp_path)]
-        )
-        assert code == 0
-        assert out.startswith("A000984")
-
-    def test_uncached_offline_exits_7(self, capsys, oeis_cache):
-        code, _, err = run(capsys, ["oeis", "9,8,7,6,5,4"])
-        assert code == 7
-        assert "disabled" in err
-
-    def test_too_few_values_exits_3(self, capsys, oeis_cache):
-        code, _, err = run(capsys, ["oeis", "1,2,3"])
-        assert code == 3
-        assert "at least 6" in err
-
     @pytest.mark.parametrize("response,problem", MALFORMED_RESPONSES)
     def test_malformed_cached_response_exits_7(self, capsys, tmp_path, response, problem):
         # a cache file that does not parse is a miss, so the offline lookup fails
@@ -475,11 +210,6 @@ class TestOeisCommand:
             main(["oeis", "1,2,6,20,70,252", "--max-results", value])
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
-
-    def test_max_results_limits_the_matches(self, capsys, oeis_cache):
-        code, out, _ = run(capsys, ["oeis", "1,2,6,20,70,252", "--max-results", "1"])
-        assert code == 0
-        assert out == "A000984 Central binomial coefficients: binomial(2*n,n) = (2*n)!/(n!)^2.\n"
 
     def test_unparsable_cache_file_is_named_and_offline_still_exits_7(self, capsys, oeis_cache):
         path = OeisClient(cache_dir=oeis_cache).seed_cache("1,2,6,20,70,252", "<html>503</html>")
@@ -509,11 +239,6 @@ class TestOeisCommand:
         assert (code, out) == (7, "")
         assert err.startswith(f"error: cannot write the cache file {not_a_dir}") and err.count("\n") == 1
 
-    def test_malformed_values_exit_2(self, capsys):
-        code, _, err = run(capsys, ["oeis", "1,2,foo,4,5,6"])
-        assert code == 2
-        assert "integers" in err
-
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -527,10 +252,8 @@ def test_import_loads_neither_http_nor_process_pool():
         "import sys, charsum.cli; "
         "print(sorted({'urllib.request', 'concurrent.futures.process'} & set(sys.modules)))"
     )
-    src = str(Path(charsum.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=src_env()
     ).stdout
     assert out == "[]\n"
 
@@ -561,10 +284,8 @@ RUN_CLI_AND_LIST_MODULES = (
 def _loaded_modules(code, *argv):
     """The last stderr line of ``python -S -c code argv`` (no ``site``, so no
     .pth file preloads a module), read as a Python literal."""
-    src = str(Path(charsum.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-S", "-c", code, *argv], capture_output=True, text=True, env=src_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stderr.splitlines()[-1])
@@ -653,10 +374,8 @@ def test_import_charsum_loads_no_submodule_until_a_name_is_used():
 
 
 def _cli_process(*argv, script=None):
-    src = str(Path(charsum.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     command = [sys.executable, *([script] if script else ["-m", "charsum.cli"]), *argv]
-    return subprocess.run(command, capture_output=True, env=env, timeout=120)
+    return subprocess.run(command, capture_output=True, env=src_env(), timeout=120)
 
 
 class TestDeepClasses:
@@ -692,12 +411,20 @@ class TestDeepClasses:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{value}\n".encode(), b"")
 
     def test_brute_force_sums_on_1000_twos_at_n_2000(self):
-        # both routes take the class whole, one border-strip pass per part
+        # both routes take the class whole, one border-strip pass per part;
+        # --mode both also checks them against the lemma
         twos = ",".join(["2"] * 1000)
         for family in "AB":
-            proc = _cli_process("sum", family, "--mu0", twos, "--n", "2000", "--mode", "brute")
+            proc = _cli_process("sum", family, "--mu0", twos, "--n", "2000", "--mode", "both")
             assert (proc.returncode, proc.stderr) == (0, b""), family
             assert proc.stdout.rstrip(b"\n").isdigit(), family
+
+    def test_every_route_on_1000_twos(self):
+        # mn, ct and tworow agree on chi^(1000,1000), or --check-all exits 4
+        twos = ",".join(["2"] * 1000)
+        proc = _cli_process("char", "--lambda", "1000,1000", "--mu", twos, "--check-all")
+        expected = "".join(f"{method} {math.comb(1000, 500)}\n" for method in ("mn", "ct", "tworow"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.encode(), b"")
 
 
 def test_trace_shim_binds_every_name_it_wraps(tmp_path):

@@ -13,7 +13,9 @@ Each argv runs in-process through ``cli.main``; then the whole corpus runs
 again in reverse order in the same process, so no output may depend on the
 state that ``polyring._central`` and ``charsums._family`` keep between
 calls.  ``{cache}`` in an argv is an OEIS cache directory seeded with
-``OEIS_FIXTURES``.
+``OEIS_FIXTURES``.  Every JSON record a run prints (each line of ``search``
+and ``fit``, and each ``--format json`` output) is also checked against its
+command's schema in ``src/charsum/schemas/``.
 
 The stdout of ``fit --family A --mu0 ''`` and of ``fit --family A|B --mu0 M``
 for M in 5,5,3, 5,5,5, 7,3,3, 7,5,3 and 9,3,3 (eleven runs) was first
@@ -37,16 +39,16 @@ import json
 import sys
 import tempfile
 import warnings
-from pathlib import Path
+from importlib.resources import files
 
+import jsonschema
 import pytest
+from conftest import CORPUS, CORPUS_FILE
 
 from charsum import polyring
 from charsum.cli import main
 from charsum.oeis import OeisClient
 
-CORPUS_FILE = Path(__file__).parent / "cli_output_digests.json"
-CORPUS = json.loads(CORPUS_FILE.read_text())
 # stdout of at most this many bytes is kept as text, longer stdout as its digest
 STDOUT_TEXT_MAX = 1024
 
@@ -63,7 +65,29 @@ OEIS_FIXTURES = {
                 {"number": 51924, "data": "1,2,6,20,70,252,923", "name": "A near miss."},
             ],
         }
-    )
+    ),
+    # the query starts one term into the entry's data
+    "2,6,20,70,252,924": json.dumps(
+        {
+            "results": [
+                {
+                    "number": 984,
+                    "data": "1,2,6,20,70,252,924,3432",
+                    "name": "Central binomial coefficients: binomial(2*n,n) = (2*n)!/(n!)^2.",
+                }
+            ]
+        }
+    ),
+    "1,1,1,1,1,7": json.dumps({"results": []}),
+}
+# the schema of each command's JSON records
+SCHEMAS = {
+    "char": "char_result.v1.json",
+    "sum": "sum_report.v1.json",
+    "verify": "verify_report.v1.json",
+    "search": "theorem_pair.v1.json",
+    "fit": "fit_result.v1.json",
+    "oeis": "oeis_result.v1.json",
 }
 
 
@@ -78,8 +102,9 @@ def _write_warning(message, category, filename, lineno, file=None, line=None):
     sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
 
-def record(argv: list[str], cache: str) -> dict:
-    """The corpus entry of one in-process run of ``argv``."""
+def run(argv: list[str], cache: str) -> tuple[int, str, str, bool]:
+    """One in-process run of ``argv``: its exit code, stdout and stderr, and
+    whether argparse rejected it."""
     out, err = io.StringIO(), io.StringIO()
     # fresh filters, and warnings written to stderr, so each run warns as a new
     # process would (pytest records warnings instead)
@@ -90,14 +115,18 @@ def record(argv: list[str], cache: str) -> dict:
             code, argparse_error = main([a.replace("{cache}", cache) for a in argv]), False
         except SystemExit as exc:
             code, argparse_error = exc.code, True
+    return code, out.getvalue(), err.getvalue().replace(cache, "{cache}"), argparse_error
+
+
+def record(argv: list[str], cache: str) -> dict:
+    """The corpus entry of one in-process run of ``argv``."""
+    code, stdout, stderr, argparse_error = run(argv, cache)
     entry = {"argv": argv, "exit": code}
-    stderr = err.getvalue().replace(cache, "{cache}")
     if argparse_error:
         # argparse's usage line wraps with the terminal width; its last line does not
         entry["stderr_last"] = stderr.splitlines()[-1]
     else:
         entry["stderr"] = stderr
-    stdout = out.getvalue()
     data = stdout.encode()
     if len(data) <= STDOUT_TEXT_MAX:
         entry["stdout"] = stdout
@@ -115,6 +144,24 @@ def test_every_output_is_pinned_in_both_orders(tmp_path):
     cache = seed_cache(tmp_path)
     assert mismatches(CORPUS, cache) == []
     assert mismatches(CORPUS[::-1], cache) == []
+
+
+def test_every_json_output_matches_its_schema(tmp_path):
+    cache = seed_cache(tmp_path)
+    validators = {}
+    for command, name in SCHEMAS.items():
+        schema = json.loads(files("charsum").joinpath("schemas", name).read_text())
+        validators[command] = jsonschema.validators.validator_for(schema)(schema)
+    runs = records = 0
+    for entry in CORPUS:
+        argv = entry["argv"]
+        if argv[0] in ("search", "fit") or ("--format", "json") in zip(argv, argv[1:]):
+            lines = run(argv, cache)[1].splitlines()
+            assert lines or entry["exit"] != 0, argv  # a run that succeeds prints a record
+            for line in lines:
+                validators[argv[0]].validate(json.loads(line))
+            runs, records = runs + 1, records + len(lines)
+    print(f"{records} JSON records of {runs} corpus runs match their schemas")
 
 
 def test_the_corpus_holds_each_argv_once():

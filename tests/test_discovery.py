@@ -5,9 +5,9 @@ import io
 import json
 from fractions import Fraction
 from math import comb, gcd
-from pathlib import Path
 
 import pytest
+from conftest import PINNED
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -36,8 +36,6 @@ CLASSES_UP_TO_8 = [p for w in range(9) for p in enumerate_partitions(w, min_part
 # `charsum fit` runs for the benchmark's fits and the README example, whose
 # stdout the CLI corpus holds as text (its provenance is in test_cli_digests)
 FIT_PINNED = [("A", "")] + [(f, m) for m in ("5,5,3", "5,5,5", "7,3,3", "7,5,3", "9,3,3") for f in "AB"]
-CORPUS_FILE = Path(__file__).parent / "cli_output_digests.json"
-CORPUS = {tuple(e["argv"]): e for e in json.loads(CORPUS_FILE.read_text())}
 
 
 def holds(fit, value, n):
@@ -277,7 +275,7 @@ class TestFitClosedForm:
 
     @pytest.mark.parametrize("family, mu0_text", FIT_PINNED, ids=[f"{f}-{m or 'empty'}" for f, m in FIT_PINNED])
     def test_cli_output_pinned(self, capsys, family, mu0_text):
-        entry = CORPUS["fit", "--family", family, "--mu0", mu0_text]
+        entry = PINNED["fit", "--family", family, "--mu0", mu0_text]
         assert main(entry["argv"]) == entry["exit"] == 0
         assert capsys.readouterr().out == entry["stdout"]
 

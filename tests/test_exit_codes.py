@@ -3,14 +3,13 @@
 import contextlib
 import importlib
 import io
-import os
 import pkgutil
 import subprocess
 import sys
 import tempfile
-from pathlib import Path
 
 import pytest
+from conftest import src_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,12 +20,6 @@ from charsum.cli import main
 
 # The codes of the README exit table that a run in-process can return.
 README_CODES = {0, 1, 2, 3, 4, 5, 7}
-
-
-def _src_env():
-    src = str(Path(charsum.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
 
 
 # Each exception class of the package and its code in the README exit table.
@@ -98,7 +91,7 @@ def test_closed_stdout_exits_141_quietly():
         [sys.executable, "-m", "charsum.cli", "verify", "--mu0", "3", "--n", "3..1000"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=_src_env(),
+        env=src_env(),
     )
     # about 600 kB of rows against a 64 kB pipe: the writer is still writing
     assert proc.stdout.readline() == b"mu0=3 mu0_prime=3,2\n"

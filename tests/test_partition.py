@@ -1,6 +1,5 @@
 """Partition construction, enumeration, and the power-run decomposition."""
 
-import copy
 import pickle
 
 import pytest
@@ -74,15 +73,6 @@ class TestMakePartition:
 
 
 class TestValueSemantics:
-    @pytest.mark.parametrize(
-        "clone", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
-        ids=["copy", "deepcopy", "pickle"],
-    )
-    def test_clone_is_equal_with_equal_hash(self, clone):
-        p = make_partition([2, 3, 2])
-        q = clone(p)
-        assert q == p and hash(q) == hash(p) and q.parts == (3, 2, 2)
-
     @given(raw=st.lists(st.integers(1, 10**30), max_size=12))
     def test_any_valid_parts_round_trip_through_text_and_pickle(self, raw):
         p = Partition(sorted(raw, reverse=True))
@@ -91,12 +81,6 @@ class TestValueSemantics:
             assert type(q) is Partition and q.parts == p.parts
         q = parse_partition(format_partition(p))
         assert type(q) is Partition and q.parts == p.parts
-
-    def test_parts_cannot_be_assigned(self):
-        p = make_partition([3])
-        with pytest.raises(AttributeError):
-            p.parts = (4,)
-        assert p.parts == (3,)
 
 
 class TestParseFormat:
