@@ -1,7 +1,9 @@
 """CLI behaviour that an argv and its pinned output cannot show: runs against a
 monkeypatched library, runs in their own process (warnings, deep classes,
-module-load budgets), drawn inputs, and the README's claims.  What a plain
-run prints is pinned in ``cli_output_digests.json`` (see test_cli_digests)."""
+module-load budgets), drawn inputs, relations between runs that hold whatever
+the corpus records, the OEIS cache that CHARSUM_OEIS_CACHE names, and the
+README's claims.  What a plain run prints is pinned in
+``cli_output_digests.json`` (see test_cli_digests)."""
 
 import ast
 import contextlib
@@ -75,6 +77,27 @@ class TestCharCommand:
         )
         assert (code, out, err) == (0, "mn 0\n", "")
 
+    @pytest.mark.parametrize(
+        "lam, mu, methods",
+        [("2,1,1", "2,2", ["mn", "ct"]), ("2,1,1,1,1", "3,3", ["mn"])],
+    )
+    def test_check_all_skips_the_routes_the_shape_exceeds(self, capsys, lam, mu, methods):
+        # plain and json name the same routes
+        argv = ["char", "--lambda", lam, "--mu", mu, "--check-all"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == methods
+        code, out, _ = run(capsys, argv + ["--format", "json"])
+        assert code == 0
+        assert list(json.loads(out)["values"]) == methods
+
+    def test_methods_select(self, capsys):
+        for method in ["mn", "ct", "tworow"]:
+            code, out, _ = run(
+                capsys, ["char", "--lambda", "3,1", "--mu", "2,2", "--method", method]
+            )
+            assert (code, out) == (0, "-1\n"), method
+
 
 class TestSumCommand:
     def test_forced_mismatch_exits_4(self, capsys, monkeypatch):
@@ -84,6 +107,13 @@ class TestSumCommand:
         )
         assert code == 4
         assert err == "error: lemma/brute mismatch at n=3: 2 vs 999\n"
+
+    def test_brute_mode_matches_lemma(self, capsys):
+        _, lemma_out, _ = run(capsys, ["sum", "B", "--mu0", "3", "--n", "3..8"])
+        _, brute_out, _ = run(
+            capsys, ["sum", "B", "--mu0", "3", "--n", "3..8", "--mode", "brute"]
+        )
+        assert lemma_out == brute_out
 
 
 class TestVerifyCommand:
@@ -161,6 +191,11 @@ class TestVerifyCommand:
             sys.set_int_max_str_digits(saved)
         assert sys.get_int_max_str_digits() == saved  # main restored it too
 
+    def test_deterministic_byte_identical(self, capsys):
+        _, first, _ = run(capsys, ["verify", "--mu0", "3", "--n", "3..6", "--format", "json"])
+        _, second, _ = run(capsys, ["verify", "--mu0", "3", "--n", "3..6", "--format", "json"])
+        assert first == second
+
 
 class TestSearchCommand:
     @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
@@ -184,6 +219,45 @@ MALFORMED_RESPONSES = [
 
 
 class TestOeisCommand:
+    # the runs with oeis_cache read the cache that CHARSUM_OEIS_CACHE names,
+    # where every corpus argv passes --cache-dir
+    def test_plain_golden_from_fixture(self, capsys, oeis_cache):
+        code, out, _ = run(capsys, ["oeis", "1,2,6,20,70,252"])
+        assert code == 0
+        assert out == (
+            "A000984 Central binomial coefficients: binomial(2*n,n) = (2*n)!/(n!)^2.\n"
+            "A001700 a(n) = binomial(2n-2, n-1).\n"
+        )
+
+    @pytest.mark.parametrize(
+        "fmt, expected", [("plain", ""), ("json", '{"query": "1,1,1,1,1,7", "matches": []}\n')]
+    )
+    def test_no_matches(self, capsys, oeis_cache, fmt, expected):
+        OeisClient(cache_dir=oeis_cache).seed_cache("1,1,1,1,1,7", json.dumps({"results": []}))
+        code, out, err = run(capsys, ["oeis", "1,1,1,1,1,7", "--format", fmt])
+        assert (code, out, err) == (0, expected, "")
+
+    def test_cache_dir_flag_overrides(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("CHARSUM_OEIS_CACHE", str(tmp_path / "empty"))
+        OeisClient(cache_dir=tmp_path).seed_cache(
+            "1,2,6,20,70,252", CENTRAL_BINOMIAL_RESPONSE
+        )
+        code, out, _ = run(
+            capsys, ["oeis", "1,2,6,20,70,252", "--cache-dir", str(tmp_path)]
+        )
+        assert code == 0
+        assert out.startswith("A000984")
+
+    def test_uncached_offline_exits_7(self, capsys, oeis_cache):
+        code, _, err = run(capsys, ["oeis", "9,8,7,6,5,4"])
+        assert code == 7
+        assert "disabled" in err
+
+    def test_too_few_values_exits_3(self, capsys, oeis_cache):
+        code, _, err = run(capsys, ["oeis", "1,2,3"])
+        assert code == 3
+        assert "at least 6" in err
+
     @pytest.mark.parametrize("response,problem", MALFORMED_RESPONSES)
     def test_malformed_cached_response_exits_7(self, capsys, tmp_path, response, problem):
         # a cache file that does not parse is a miss, so the offline lookup fails
@@ -210,6 +284,11 @@ class TestOeisCommand:
             main(["oeis", "1,2,6,20,70,252", "--max-results", value])
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
+
+    def test_max_results_limits_the_matches(self, capsys, oeis_cache):
+        code, out, _ = run(capsys, ["oeis", "1,2,6,20,70,252", "--max-results", "1"])
+        assert code == 0
+        assert out == "A000984 Central binomial coefficients: binomial(2*n,n) = (2*n)!/(n!)^2.\n"
 
     def test_unparsable_cache_file_is_named_and_offline_still_exits_7(self, capsys, oeis_cache):
         path = OeisClient(cache_dir=oeis_cache).seed_cache("1,2,6,20,70,252", "<html>503</html>")
