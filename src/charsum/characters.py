@@ -40,7 +40,7 @@ DEFAULT_ROW_CAP = 4
 
 
 class RowCapExceeded(ValueError):
-    """Shape has more rows than the route evaluates; char_mn takes any shape."""
+    """A shape or class the route cannot evaluate; char_mn takes any."""
 
 
 def _check_weights(lmbda: Partition, mu: Partition) -> None:
@@ -106,7 +106,12 @@ def _two_row_route(lmbda: Partition, mu: Partition) -> int:
         raise RowCapExceeded("tworow method needs a shape with at most 2 rows")
     _check_weights(lmbda, mu)
     j = lmbda[1] if len(lmbda) == 2 else 0
-    return char_two_row(lmbda.weight(), j, Partition([p for p in mu if p > 1]))
+    # with the weights equal and j <= n/2, the one ValueError left is
+    # ``factor``'s: a class whose factor cannot be built
+    try:
+        return char_two_row(lmbda.weight(), j, Partition([p for p in mu if p > 1]))
+    except ValueError as exc:
+        raise RowCapExceeded(str(exc)) from None
 
 
 def char_mn(lmbda: Partition, mu: Partition) -> int:

@@ -75,22 +75,25 @@ def factor(family: str, parts: tuple[int, ...], power: int = 1) -> tuple[int, ..
     The head factor is 1 - x for A; for B it is the first part's quotient
     sum_{k<a_1} (-x)^k, and V = 1 for no parts.  Every other distinct part a,
     of multiplicity c, adds one binomial row (1 + s x^a)^(power c), s = +1
-    for A or odd a and -1 otherwise.
+    for A or odd a and -1 otherwise.  Each list is requested whole, so a class
+    too large to allocate fails at once, as a ValueError naming it.
     """
-    if family == "A":
-        head, rest = IntPoly((1, -1)), parts
-    else:
-        head, rest = IntPoly([(-1) ** k for k in range(parts[0])] if parts else (1,)), parts[1:]
-    f = head
-    for _ in range(power - 1):
-        f = f * head
-    for a, c in Counter(rest).items():
-        s = 1 if family == "A" or a % 2 else -1  # the factor is 1 + s x^a
-        e = power * c
-        row = [0] * (e * a + 1)
-        for i in range(e + 1):
-            row[a * i] = comb(e, i) * s**i
-        f = f * IntPoly(row)
+    try:
+        # T's head 1 - x is V's quotient for a part 2, and V = 1 for no parts
+        a, *rest = (2, *parts) if family == "A" else parts or (1,)
+        head = IntPoly([1, -1] * (a // 2) + [1] * (a % 2))
+        f = head
+        for _ in range(power - 1):
+            f = f * head
+        for a, c in Counter(rest).items():
+            s = 1 if family == "A" or a % 2 else -1  # the factor is 1 + s x^a
+            e = power * c
+            row = [0] * (e * a + 1)
+            for i in range(e + 1):
+                row[a * i] = comb(e, i) * s**i
+            f = f * IntPoly(row)
+    except (OverflowError, MemoryError):
+        raise ValueError(f"class {parts} is too large to build its factor") from None
     return f.coeffs
 
 

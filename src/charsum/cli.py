@@ -12,10 +12,10 @@ Exit codes:
   2    usage errors: unknown flags, malformed partitions/ranges/value lists
   3    domain preconditions: weight mismatch, n below |mu0|, a part equal to 1,
        not theorem form, j out of range, row cap exceeded, too few OEIS terms,
-       an --n above sys.maxsize, a part too large to index a list
+       an --n above sys.maxsize, a class whose factor cannot be built
   4    internal cross-check mismatch (sum --mode both, char --check-all,
        or a value breaking an identity the maths guarantees, in any command)
-  5    search parameters out of range (K < 2, window < 4)
+  5    search parameters out of range (K < 2, window < 4, K + window > sys.maxsize)
   7    OEIS lookup failures (network disabled/unreachable, malformed response,
        a cache directory that cannot hold the reply)
   141  stdout was closed before the output was written (128 + SIGPIPE)
@@ -66,8 +66,6 @@ EXIT_CODES = {
     "SearchError": EXIT_SEARCH,
     "OeisError": EXIT_NETWORK,
     "ValueError": EXIT_PRECONDITION,
-    # a part too large to index a list (fit --mu0, char --method tworow)
-    "OverflowError": EXIT_PRECONDITION,
 }
 
 # ``char``'s routes, each by the name of its function in ``characters``, looked

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from operator import ge
 
 
 class PartitionFormatError(ValueError):
@@ -27,16 +26,12 @@ class Partition(tuple):
 
     def __new__(cls, parts: Iterable[int] = ()):
         self = tuple.__new__(cls, parts)
-        # checked at C speed; the loops only word the error
-        if self and not (
-            set(map(type, self)) == {int} and self[-1] >= 1 and all(map(ge, self, self[1:]))
-        ):
-            for p in self:
-                if isinstance(p, bool) or not isinstance(p, int) or p < 1:
-                    raise ValueError(f"partition parts must be positive integers, got {p!r}")
-            for a, b in zip(self, self[1:]):
-                if a < b:
-                    raise ValueError(f"parts must be non-increasing, got {tuple(self)}")
+        for p in self:
+            if isinstance(p, bool) or not isinstance(p, int) or p < 1:
+                raise ValueError(f"partition parts must be positive integers, got {p!r}")
+        for a, b in zip(self, self[1:]):
+            if a < b:
+                raise ValueError(f"parts must be non-increasing, got {tuple(self)}")
         return self
 
     @property

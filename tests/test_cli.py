@@ -27,6 +27,11 @@ from charsum.cli import build_parser, main
 from charsum.oeis import OeisClient, UnparsableCacheWarning
 from charsum.partition import enumerate_partitions, format_partition, theorem_form_of
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 CENTRAL_BINOMIAL_RESPONSE = json.dumps(
     {
         "count": 2,
@@ -504,6 +509,34 @@ class TestDeepClasses:
         proc = _cli_process("char", "--lambda", "1000,1000", "--mu", twos, "--check-all")
         expected = "".join(f"{method} {math.comb(1000, 500)}\n" for method in ("mn", "ct", "tworow"))
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.encode(), b"")
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--family", "A", "--mu0", "1000000000000"],
+        ["fit", "--family", "B", "--mu0", "1000000000000000000"],
+        ["sum", "B", "--mu0", "1000000000000", "--n", "1000000000000"],
+        ["verify", "--mu0", "1000000000001", "--n", "1000000000001"],
+    ],
+    ids=["fit-A", "fit-B", "sum-B", "verify"],
+)
+def test_a_class_too_large_to_build_exits_3_at_once(argv):
+    # each list of the class's factor is one allocation, which fails at once;
+    # the address-space limit keeps a build that grows instead from taking the
+    # host's memory (such a run times out here)
+    command = [sys.executable, "-m", "charsum.cli", *argv]
+    proc = subprocess.run(
+        command, capture_output=True, env=src_env(), timeout=30, preexec_fn=_limit_address_space
+    )
+    mu0 = argv[argv.index("--mu0") + 1]
+    expected = f"error: class {mu0} is too large to build its factor\n".encode()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, b"", expected)
 
 
 def test_trace_shim_binds_every_name_it_wraps(tmp_path):
